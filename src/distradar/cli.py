@@ -12,10 +12,9 @@ import argparse
 import configparser
 import csv
 import math
-import shutil
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +36,7 @@ _SECTION_KEYS = {
                 "freq_center_hz", "bandwidth_hz", "freq_count",
                 "elevation_deg", "snr_db"},
     "solver": {"mu", "lambda", "beta", "eps_abs", "eps_rel",
-               "max_outer_iters", "cg_max_iters", "cg_tol",
-               "prox_max_iters", "prox_tol", "method"},
+               "max_outer_iters", "cg_max_iters", "cg_tol"},
     "metrics": {"dynamic_range_db", "gray_levels", "sparsity_threshold",
                 "f1_threshold", "match_radius_px", "sparsity_window_min",
                 "sparsity_window_max"},
@@ -162,9 +160,6 @@ def load_config(path):
             max_outer_iters=_get(solver_sec, "max_outer_iters", int, 100),
             cg_max_iters=_get(solver_sec, "cg_max_iters", int, 50),
             cg_tol=_get(solver_sec, "cg_tol", float, 1e-6),
-            prox_max_iters=_get(solver_sec, "prox_max_iters", int, 200),
-            prox_tol=_get(solver_sec, "prox_tol", float, 1e-8),
-            method=_get(solver_sec, "method", str, solvers.CADMM),
         )
         metrics_sec = parser["metrics"] if "metrics" in parser else {}
         entropy_cfg = metrics.EntropyConfig(
@@ -231,7 +226,10 @@ def _read_complex_csv(path):
         header = next(reader)
         if header != ["index", "real", "imag"]:
             raise ConfigError(f"{path}: unexpected header {header}")
-        values = [complex(float(r), float(im)) for _, r, im in reader]
+        try:
+            values = [complex(float(r), float(im)) for _, r, im in reader]
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed row: {exc}") from exc
     return np.array(values)
 
 
@@ -291,11 +289,17 @@ def load_bundle(bundle_path):
     scenario = build_scenario(cfg)
     operators = [model.make_operator(cfg.grid, c) for c in scenario.clusters]
     measurements = []
-    for q in range(len(scenario.clusters)):
+    for q, op in enumerate(operators):
         path = bundle / f"meas_q{q:02d}.csv"
         if not path.exists():
             raise ConfigError(f"{bundle}: incomplete bundle, missing {path.name}")
-        measurements.append(_read_complex_csv(path))
+        y = _read_complex_csv(path)
+        if y.size != op.n_measurements:
+            raise ConfigError(f"{path}: {y.size} samples, expected "
+                              f"{op.n_measurements} (freqs x APCs)")
+        if not np.all(np.isfinite(y)):
+            raise solvers.NumericalError(f"{path}: non-finite sample")
+        measurements.append(y)
     truth_path = bundle / "truth_support.csv"
     truth_support = []
     if truth_path.exists():
@@ -322,9 +326,6 @@ def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
         solver_cfg.lam = ratio * solver_cfg.mu
     if max_iters is not None:
         solver_cfg.max_outer_iters = max_iters
-    out = Path(out_dir if out_dir is not None else
-               Path(bundle_path) / f"recon_{method}")
-    out.mkdir(parents=True, exist_ok=True)
     t_start = time.perf_counter()
     result = None
     if method in (solvers.CADMM, solvers.SADMM):
@@ -339,12 +340,16 @@ def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
     elif method == "composite":
         folded = _fold_phase_matrices(operators, measurements)
         image = solvers.composite_baseline(folded, measurements, solver_cfg.lam,
-                                           max_iters=solver_cfg.prox_max_iters * 5,
-                                           tol=solver_cfg.prox_tol)
+                                           max_iters=1000)
         termination = "n/a"
     else:
         raise ConfigError(f"unknown method {method!r}")
     wall_s = time.perf_counter() - t_start
+    # created only once the solve has returned, so a failed run leaves no
+    # empty result directory behind
+    out = Path(out_dir if out_dir is not None else
+               Path(bundle_path) / f"recon_{method}")
+    out.mkdir(parents=True, exist_ok=True)
     if "csv" in cfg.formats:
         metrics.export_image(image, cfg.grid, out / "image.csv", "csv")
     if "pgm" in cfg.formats:
@@ -414,14 +419,8 @@ def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_path=None):
     rows = []
     for beta in beta_list:
         for ratio in ratio_list:
-            solver_cfg = solvers.SolverConfig(
-                mu=cfg.solver.mu, lam=ratio * cfg.solver.mu, beta=beta,
-                eps_abs=cfg.solver.eps_abs, eps_rel=cfg.solver.eps_rel,
-                max_outer_iters=cfg.solver.max_outer_iters,
-                cg_max_iters=cfg.solver.cg_max_iters,
-                cg_tol=cfg.solver.cg_tol,
-                prox_max_iters=cfg.solver.prox_max_iters,
-                prox_tol=cfg.solver.prox_tol, method=method)
+            solver_cfg = replace(cfg.solver, beta=beta,
+                                 lam=ratio * cfg.solver.mu)
             t0 = time.perf_counter()
             result = solvers.run(method, folded, measurements, solver_cfg)
             wall_s = time.perf_counter() - t0

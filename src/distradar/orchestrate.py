@@ -1,17 +1,15 @@
-"""Hybrid central-node / cluster-node execution of the ADMM engines.
+"""Central-node / cluster-node message accounting around the ADMM loop.
 
-Runs the exact same arithmetic as solvers.run, but routed through an
-in-process mailbox transport: each cluster node holds only its own
-operator, measurements, and previous local image, plus whatever the
-central node last broadcast. The resulting iterates are bit-identical to
-the monolithic engine; the point is the explicit message schedule and the
-payload accounting.
+solvers.run already has the hybrid structure of the paper: each cluster
+node's local update reads only its own operator, measurements, previous
+local image and the central node's last downlink; the central node runs
+the global and dual updates and the stopping check. This module names the
+messages of that schedule, replays them as a per-iteration trace of a
+run, and accounts for payload volume and cluster-node memory.
 """
 
 import csv
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import solvers
 from .solvers import CADMM, SADMM
@@ -80,108 +78,17 @@ def memory_audit(method, n):
     raise ValueError(f"unknown method {method!r}")
 
 
-class _ClusterNode:
-    """Holds one cluster's private data and runs its local update."""
-
-    def __init__(self, q, op, measurements, cfg):
-        self.q = q
-        self.op = op
-        self.y = measurements
-        self.cfg = cfg
-        n = op.grid.n_pixels
-        self.x_q = np.zeros(n)  # previous local image (persistent state)
-        # last received broadcasts
-        self.x_global = np.zeros(n)
-        self.sigma = np.zeros(n)
-        self.x_bar = np.zeros(n)
-
-    def local_update(self, method):
-        if method == CADMM:
-            self.x_q = solvers.local_update_cadmm(
-                self.op, self.y, self.x_global, self.sigma, self.cfg)
-        else:
-            self.x_q = solvers.local_update_sadmm(
-                self.op, self.y, self.x_global, self.x_bar, self.x_q,
-                self.sigma, self.cfg)
-        return self.x_q
-
-    def objective_term(self):
-        r = self.y - self.op.apply(self.x_q.astype(complex))
-        return (self.cfg.mu / 2) * float(np.vdot(r, r).real)
-
-
 def run_message_passing(method, operators, measurements, cfg):
-    """Execute the chosen engine through the mailbox transport.
+    """Run the chosen engine and list the messages its iterations exchange.
 
-    Returns (ReconstructionResult, trace) where the trace lists every
-    message exchanged. The result is bit-identical to solvers.run with the
-    same inputs.
+    Returns (ReconstructionResult, trace). The result is solvers.run's;
+    the trace holds iteration_schedule's records for every outer
+    iteration the run performed.
     """
-    if len(operators) != len(measurements):
-        raise ValueError("need exactly one measurement vector per operator")
-    if len(operators) == 0:
-        raise ValueError("need at least one cluster")
-    import time
-
-    q_count = len(operators)
-    n = operators[0].grid.n_pixels
-    nodes = [_ClusterNode(q, operators[q], measurements[q], cfg)
-             for q in range(q_count)]
-    x_global = np.zeros(n)
-    dual = np.zeros(q_count * n if method == CADMM else n)
-    local = np.zeros((q_count, n))
-    state = solvers.SolverState(local, x_global, dual)
-    trace = []
-    objective_history = []
-    termination = "max_iters"
-    for k in range(cfg.max_outer_iters):
-        t0 = time.perf_counter()
-        # cluster phase: local updates, then uplink
-        uplinked = []
-        terms = []
-        for node in nodes:
-            uplinked.append(node.local_update(method))
-            terms.append(node.objective_term())
-            trace.append(MessageRecord(k + 1, UPLINK, f"cluster:{node.q}",
-                                       LOCAL_IMAGE, n))
-        local = np.stack(uplinked)
-        # central phase: global update, dual update, residuals
-        if method == CADMM:
-            x_global_new = solvers.global_update_cadmm(local, dual, cfg)
-        else:
-            x_bar_new = solvers._sum_ascending(list(local))
-            x_global_new = solvers.global_update_sadmm(x_bar_new, dual, cfg)
-        dual = solvers.dual_update(method, local, x_global_new, dual, cfg)
-        x_global_prev, x_global = x_global, x_global_new
-        state = solvers.SolverState(local, x_global, dual, iter=k + 1,
-                                    residual_log=state.residual_log)
-        primal, dual_res, eps_pri, eps_dual = solvers.residuals_and_tolerances(
-            method, x_global_prev, state, cfg)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        state.residual_log.append(solvers.IterationRecord(
-            k + 1, primal, dual_res, eps_pri, eps_dual, wall_ms))
-        objective = 0.0
-        for term in terms:
-            objective += term
-        objective_history.append(objective + cfg.lam * float(np.sum(np.abs(x_global))))
-        # downlink for the next iteration
-        trace.append(MessageRecord(k + 1, BROADCAST, "central", GLOBAL_IMAGE, n))
-        for node in nodes:
-            node.x_global = x_global
-        if method == CADMM:
-            for node in nodes:
-                node.sigma = dual[node.q * n:(node.q + 1) * n]
-                trace.append(MessageRecord(k + 1, UNICAST, "central", DUAL_SLICE, n))
-        else:
-            trace.append(MessageRecord(k + 1, BROADCAST, "central", DUAL_FULL, n))
-            trace.append(MessageRecord(k + 1, BROADCAST, "central", SUM_IMAGE, n))
-            for node in nodes:
-                node.sigma = dual
-                node.x_bar = x_bar_new
-        if primal <= eps_pri and dual_res <= eps_dual:
-            termination = "converged"
-            break
-    result = solvers.ReconstructionResult(state, termination, objective_history)
+    result = solvers.run(method, operators, measurements, cfg)
+    q_count, n = result.state.local_images.shape
+    trace = [record for k in range(1, result.state.iter + 1)
+             for record in iteration_schedule(method, q_count, n, k)]
     return result, trace
 
 

@@ -6,11 +6,10 @@ Both engines optimize
 
 over nonnegative magnitude images, differing only in the coupling
 constraint: consensus ties every local image to the global one
-(x_q = x_G for all q), sharing ties their sum (sum_q x_q = x_G).
-Local updates are closed forms solved with conjugate gradient; global
-updates are LASSO-like problems solved with an accelerated proximal
-gradient (which coincides with an analytic soft-threshold here and is
-cross-checked against it in the tests).
+(x_q = x_G for all q), sharing ties their sum (sum_q x_q = x_G). One
+loop, run, serves both forms. Local updates are closed forms solved with
+conjugate gradient; global updates are exact one-sided soft-thresholds.
+FISTA is kept only for the per-cluster composite baseline.
 
 All sums over clusters use a fixed ascending-q order so results are bit
 reproducible regardless of scheduling.
@@ -41,20 +40,15 @@ class SolverConfig:
     max_outer_iters: int = 100
     cg_max_iters: int = 50
     cg_tol: float = 1e-6
-    prox_max_iters: int = 200
-    prox_tol: float = 1e-8
-    method: str = CADMM
 
     def __post_init__(self):
-        for name in ("mu", "lam", "beta", "eps_abs", "eps_rel", "cg_tol", "prox_tol"):
+        for name in ("mu", "lam", "beta", "eps_abs", "eps_rel", "cg_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.cg_max_iters < 1 or self.prox_max_iters < 1:
-            raise ValueError("inner iteration budgets must be >= 1")
-        if self.method not in (CADMM, SADMM):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.cg_max_iters < 1:
+            raise ValueError("cg_max_iters must be >= 1")
 
 
 @dataclass
@@ -169,39 +163,28 @@ def _sum_ascending(vectors):
 
 
 def global_update_cadmm(local_images, sigma, cfg):
-    """Global image update of the consensus engine via FISTA.
+    """Global image update of the consensus engine, in closed form.
 
     Minimizes lam*||z||_1 - (sum_q sigma_q)^T z + (beta/2)*sum_q||x_q - z||^2
     over z >= 0. The dual-term sign follows the augmented Lagrangian; the
-    minimizer equals the soft-threshold
-    max((beta*sum_q x_q + sum_q sigma_q)/(Q*beta) - lam/(Q*beta), 0).
+    minimizer is the one-sided soft-threshold
+    max((beta*sum_q x_q + sum_q sigma_q - lam)/(Q*beta), 0).
     """
     local_images = np.asarray(local_images)
     q_count, n = local_images.shape
     x_sum = _sum_ascending(list(local_images))
     sigma_sum = _sum_ascending(list(sigma.reshape(q_count, n)))
-    lin = cfg.beta * x_sum + sigma_sum
-
-    def grad(z):
-        return q_count * cfg.beta * z - lin
-
-    return accelerated_prox_gradient(grad, q_count * cfg.beta, cfg.lam, n,
-                                     cfg.prox_max_iters, cfg.prox_tol)
+    return np.maximum((cfg.beta * x_sum + sigma_sum - cfg.lam)
+                      / (q_count * cfg.beta), 0.0)
 
 
 def global_update_sadmm(x_bar, sigma, cfg):
-    """Global image update of the sharing engine via FISTA.
+    """Global image update of the sharing engine, in closed form.
 
     Minimizes lam*||z||_1 + (beta/2)*||z - x_bar||^2 - sigma^T z over
-    z >= 0; equals max(x_bar + sigma/beta - lam/beta, 0).
+    z >= 0; the minimizer is max(x_bar + (sigma - lam)/beta, 0).
     """
-    n = x_bar.size
-
-    def grad(z):
-        return cfg.beta * (z - x_bar) - sigma
-
-    return accelerated_prox_gradient(grad, cfg.beta, cfg.lam, n,
-                                     cfg.prox_max_iters, cfg.prox_tol)
+    return np.maximum(x_bar + (sigma - cfg.lam) / cfg.beta, 0.0)
 
 
 def dual_update(method, local_images, x_global_new, sigma, cfg):
@@ -268,6 +251,8 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
     the iterates do not depend on the schedule. on_iteration, when given,
     receives the SolverState after every outer iteration.
     """
+    if method not in (CADMM, SADMM):
+        raise ValueError(f"unknown method {method!r}")
     if len(operators) != len(measurements):
         raise ValueError("need exactly one measurement vector per operator")
     if len(operators) == 0:

@@ -78,7 +78,7 @@ def iso(tmp_path_factory):
         "sadmm": solvers.run("sadmm", folded, measurements,
                              solvers.SolverConfig(
                                  mu=1.0, lam=50.0, beta=10.0,
-                                 max_outer_iters=100, method="sadmm")),
+                                 max_outer_iters=100)),
         "bp": model.backprojection_image(operators, measurements),
     }
     wall = time.perf_counter() - t0
@@ -158,8 +158,7 @@ def test_criterion_3_global_updates_vs_closed_form():
             q = int(rng.integers(1, 6))
             n = int(rng.integers(4, 40))
             cfg = solvers.SolverConfig(
-                lam=rng.uniform(0.1, 3.0), beta=rng.uniform(0.2, 4.0),
-                prox_max_iters=300, prox_tol=1e-13)
+                lam=rng.uniform(0.1, 3.0), beta=rng.uniform(0.2, 4.0))
             local = np.abs(rng.standard_normal((q, n)))
             sigma = rng.standard_normal(q * n)
             got = solvers.global_update_cadmm(local, sigma, cfg)
@@ -167,12 +166,14 @@ def test_criterion_3_global_updates_vs_closed_form():
                 (cfg.beta * local.sum(axis=0)
                  + sigma.reshape(q, n).sum(axis=0)) / (q * cfg.beta)
                 - cfg.lam / (q * cfg.beta), 0.0)
-            assert np.max(np.abs(got - ref)) <= 1e-6
+            assert (np.max(np.abs(got - ref))
+                    <= 1e-12 * max(1.0, np.max(np.abs(ref))))
             x_bar = np.abs(rng.standard_normal(n))
             sig = rng.standard_normal(n)
             got = solvers.global_update_sadmm(x_bar, sig, cfg)
             ref = np.maximum(x_bar + sig / cfg.beta - cfg.lam / cfg.beta, 0.0)
-            assert np.max(np.abs(got - ref)) <= 1e-6
+            assert (np.max(np.abs(got - ref))
+                    <= 1e-12 * max(1.0, np.max(np.abs(ref))))
         assert time.perf_counter() - t0 < 5.0
 
 
@@ -193,7 +194,7 @@ def test_criterion_4_single_cluster_degeneration():
         for method in ("cadmm", "sadmm"):
             cfg = solvers.SolverConfig(
                 mu=1.0, lam=2.0, beta=3.0, eps_abs=1e-12, eps_rel=1e-12,
-                max_outer_iters=50, method=method)
+                max_outer_iters=50)
             solvers.run(method, ops, y, cfg, on_iteration=lambda s:
                         iterates[method].append(s.global_image.copy()))
         assert len(iterates["cadmm"]) == len(iterates["sadmm"]) == 50
@@ -220,7 +221,7 @@ def test_criterion_5_termination_contract(iso):
         for method in ("cadmm", "sadmm"):
             cfg = solvers.SolverConfig(mu=1.0, lam=5.0, beta=5.0,
                                        eps_abs=1e-2, eps_rel=1e-2,
-                                       max_outer_iters=300, method=method)
+                                       max_outer_iters=300)
             candidates.append(solvers.run(method, ops, ys, cfg))
         for result in candidates:
             if result.termination != "converged":
@@ -257,7 +258,7 @@ def test_criterion_7_anisotropic_recovery(aniso):
                             base)
         sadmm_cfg = solvers.SolverConfig(
             mu=1.0, lam=800.0, beta=1600.0, eps_abs=base.eps_abs,
-            eps_rel=base.eps_rel, max_outer_iters=100, method="sadmm")
+            eps_rel=base.eps_rel, max_outer_iters=100)
         sadmm = solvers.run("sadmm", aniso["folded"], aniso["measurements"],
                             sadmm_cfg)
         single = solvers.composite_baseline(aniso["folded"][:1],
@@ -291,8 +292,7 @@ def test_criterion_9_orchestration_equivalence(iso):
         for method, cfg in (
                 ("cadmm", iso["cfg"].solver),
                 ("sadmm", solvers.SolverConfig(mu=1.0, lam=50.0, beta=10.0,
-                                               max_outer_iters=100,
-                                               method="sadmm"))):
+                                               max_outer_iters=100))):
             mono = iso["results"][method]
             dist, _ = orchestrate.run_message_passing(
                 method, iso["folded"], iso["measurements"], cfg)

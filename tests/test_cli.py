@@ -186,6 +186,43 @@ def test_load_bundle_errors(tmp_path, bundle):
         load_bundle(bundle)
 
 
+@pytest.mark.parametrize("key", ["method = cadmm", "prox_max_iters = 200",
+                                 "prox_tol = 1e-8"])
+def test_removed_solver_keys_rejected(tmp_path, capsys, key):
+    # bundles written before these keys were dropped carry them in
+    # config.ini; they are rejected like any other unknown key
+    path = tmp_path / "old.ini"
+    path.write_text(BASE_CONFIG.replace("max_outer_iters = 15",
+                                        f"max_outer_iters = 15\n{key}"))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "b")]) == 2
+    assert key.split(" = ")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corruption, code", [
+    ("nan", 3),  # non-finite sample: numerical failure
+    ("short", 2),  # a row missing: wrong length
+    ("cut_row", 2),  # file cut inside its last row
+])
+@pytest.mark.parametrize("method", ["cadmm", "sadmm", "bp", "composite"])
+def test_reconstruct_bad_measurements_leave_no_output(bundle, tmp_path, capsys,
+                                                      method, corruption, code):
+    path = bundle / "meas_q01.csv"
+    lines = path.read_text().splitlines()
+    if corruption == "nan":
+        lines[2] = "1,nan,0"
+    elif corruption == "short":
+        lines = lines[:-1]
+    else:
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(bundle), "--method", method,
+                 "--out", str(out)]) == code
+    assert "meas_q01.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["cadmm", "sadmm", "bp", "composite"])
 def test_reconstruct_methods(bundle, method):
     out = cmd_reconstruct(bundle, method)
@@ -236,6 +273,8 @@ def test_sweep_outputs(bundle, tmp_path):
     assert best.exists()
     with pytest.raises(ConfigError):
         cmd_sweep(bundle, "cadmm", [], [1.0])
+    with pytest.raises(ValueError, match="unknown method"):
+        cmd_sweep(bundle, "bogus", [2.0], [5.0], tmp_path / "bogus.csv")
 
 
 def test_metrics_command(bundle, config_file):

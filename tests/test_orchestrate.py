@@ -70,7 +70,7 @@ def test_memory_audit():
 def test_message_passing_bitwise_matches_monolithic(method):
     ops, ys = _setup()
     cfg = SolverConfig(mu=1.0, lam=5.0, beta=5.0, eps_abs=1e-3, eps_rel=1e-3,
-                       max_outer_iters=50, method=method)
+                       max_outer_iters=50)
     mono = run(method, ops, ys, cfg)
     dist, trace = run_message_passing(method, ops, ys, cfg)
     np.testing.assert_array_equal(dist.state.global_image,
@@ -89,8 +89,7 @@ def test_message_passing_bitwise_matches_monolithic(method):
 @pytest.mark.parametrize("method", [CADMM, SADMM])
 def test_trace_matches_schedule(method):
     ops, ys = _setup(q_count=3)
-    cfg = SolverConfig(mu=1.0, lam=5.0, beta=5.0, max_outer_iters=4,
-                       method=method)
+    cfg = SolverConfig(mu=1.0, lam=5.0, beta=5.0, max_outer_iters=4)
     result, trace = run_message_passing(method, ops, ys, cfg)
     iters = result.state.iter
     per_iter = len(iteration_schedule(method, 3, 64))
@@ -107,6 +106,8 @@ def test_message_passing_validation():
         run_message_passing(CADMM, ops, ys[:1], SolverConfig())
     with pytest.raises(ValueError):
         run_message_passing(CADMM, [], [], SolverConfig())
+    with pytest.raises(ValueError, match="unknown method"):
+        run_message_passing("bogus", ops, ys, SolverConfig())
 
 
 def test_export_trace_csv(tmp_path):
