@@ -36,7 +36,7 @@ _SECTION_KEYS = {
                 "freq_center_hz", "bandwidth_hz", "freq_count",
                 "elevation_deg", "snr_db"},
     "solver": {"mu", "lambda", "beta", "eps_abs", "eps_rel",
-               "max_outer_iters", "cg_max_iters", "cg_tol"},
+               "max_outer_iters"},
     "metrics": {"dynamic_range_db", "gray_levels", "sparsity_threshold",
                 "f1_threshold", "match_radius_px", "sparsity_window_min",
                 "sparsity_window_max"},
@@ -158,8 +158,6 @@ def load_config(path):
             eps_abs=_get(solver_sec, "eps_abs", float, 1e-2),
             eps_rel=_get(solver_sec, "eps_rel", float, 1e-2),
             max_outer_iters=_get(solver_sec, "max_outer_iters", int, 100),
-            cg_max_iters=_get(solver_sec, "cg_max_iters", int, 50),
-            cg_tol=_get(solver_sec, "cg_tol", float, 1e-6),
         )
         metrics_sec = parser["metrics"] if "metrics" in parser else {}
         entropy_cfg = metrics.EntropyConfig(

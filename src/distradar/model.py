@@ -2,12 +2,15 @@
 
 The forward operator maps a complex reflectivity image on a uniform grid to
 de-chirped phase-history samples collected by one cluster of antenna phase
-centers (APCs). The kernel is an exact nonuniform DFT evaluated directly,
-O(W*M*N) per application; at desk scale exactness beats speed, and this is
-the natural place to swap in an NUFFT later.
+centers (APCs). The kernel is an exact nonuniform DFT. Its phase splits
+into an x term and a y term, so the operator stores one small factor per
+pixel axis and applies the kernel as two matrix products, O(W*M*N) per
+application without a dense MW x N matrix. The row Gram A A^H (MW x MW)
+is phase-free; its cached eigendecomposition gives the ADMM local solve
+in closed form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +44,17 @@ class SceneGrid:
     def n_pixels(self):
         return self.nx * self.ny
 
-    def pixel_coords(self):
-        """(N, 2) array of pixel-center (x, y) coordinates, row-major."""
+    def axes(self):
+        """Pixel-center x coordinates (length nx) and y coordinates (length ny)."""
         dx = self.extent_x / self.nx
         dy = self.extent_y / self.ny
         xs = -self.extent_x / 2 + dx * (np.arange(self.nx) + 0.5)
         ys = -self.extent_y / 2 + dy * (np.arange(self.ny) + 0.5)
-        gx, gy = np.meshgrid(xs, ys)  # rows vary in y
+        return xs, ys
+
+    def pixel_coords(self):
+        """(N, 2) array of pixel-center (x, y) coordinates, row-major."""
+        gx, gy = np.meshgrid(*self.axes())  # rows vary in y
         return np.column_stack([gx.ravel(), gy.ravel()])
 
     def nearest_pixel(self, x, y):
@@ -99,16 +106,22 @@ class ClusterGeometry:
 
 
 class ForwardOperator:
-    """Matrix representation A of the cluster's measurement kernel.
+    """Separable matrix representation A of the cluster's measurement kernel.
 
     Entry A[(m, w), n] = exp(+j * 4*pi*f_w*cos(phi)/c * (x_n*cos(theta_m)
     + y_n*sin(theta_m))) * phase_matrix[n]. Output samples are ordered
     frequency-major within each APC: row index = m*W + w.
 
+    The kernel factorises over the pixel axes, K[(m, w), iy*nx + ix] =
+    Ey[(m, w), iy] * Ex[(m, w), ix], so only the two small factors Ex
+    (MW x nx) and Ey (MW x ny) are stored, and apply and adjoint each cost
+    one MW x ny x nx matrix product plus an element-wise pass.
+
     The unit-modulus phase_matrix is the diagonal of the per-pixel phase
     matrix folded into A; it defaults to all ones. Instances are immutable
-    after construction and safe to share across threads; apply/adjoint
-    allocate fresh outputs.
+    after construction apart from the lazy gram_eigh cache; once that is
+    filled they are safe to share across threads. apply/adjoint allocate
+    fresh outputs.
     """
 
     def __init__(self, grid, geometry, phase_matrix=None):
@@ -124,17 +137,17 @@ class ForwardOperator:
             if np.any(np.abs(np.abs(phase_matrix) - 1.0) > 1e-12):
                 raise ValueError("phase_matrix entries must be unit modulus")
         self.phase_matrix = phase_matrix
-        self._kernel = self._build_kernel()
-        self._normal_cache = [None]  # lazy FFT kernel, shared across refolds
+        self._ex, self._ey = self._build_factors()
+        self._eigh_cache = [None]  # lazy, shared across refolds
 
-    def _build_kernel(self):
-        coords = self.grid.pixel_coords()
+    def _build_factors(self):
+        xs, ys = self.grid.axes()
         theta = self.geometry.azimuth_angles
         k = 4 * np.pi * self.geometry.frequencies * np.cos(self.geometry.elevation) / C_LIGHT
-        # projection of every pixel onto each APC's look direction, (M, N)
-        proj = np.outer(np.cos(theta), coords[:, 0]) + np.outer(np.sin(theta), coords[:, 1])
-        phase = k[None, :, None] * proj[:, None, :]  # (M, W, N)
-        return np.exp(1j * phase).reshape(self.n_measurements, self.grid.n_pixels)
+        # wavenumber components of row m*W + w along x and y
+        kx = (np.cos(theta)[:, None] * k[None, :]).reshape(-1)
+        ky = (np.sin(theta)[:, None] * k[None, :]).reshape(-1)
+        return np.exp(1j * np.outer(kx, xs)), np.exp(1j * np.outer(ky, ys))
 
     @property
     def n_measurements(self):
@@ -151,68 +164,45 @@ class ForwardOperator:
         if np.any(np.abs(np.abs(phase_matrix) - 1.0) > 1e-12):
             raise ValueError("phase_matrix entries must be unit modulus")
         op.phase_matrix = phase_matrix
-        op._kernel = self._kernel
-        op._normal_cache = self._normal_cache
+        op._ex, op._ey = self._ex, self._ey
+        op._eigh_cache = self._eigh_cache
         return op
 
-    def _normal_fft_kernel(self):
-        """FFT of the block-Toeplitz generator of K^H K (phase fold excluded).
+    def gram_eigh(self):
+        """Eigendecomposition (lam, U) of A A^H = U diag(lam) U^H.
 
-        (K^H K)[n, n'] depends only on the pixel coordinate difference, so
-        the Gram action is a 2D correlation evaluated with FFTs in
-        O(N log N) instead of O(W*M*N). Built lazily and cached.
+        A A^H = K K^H = (Ex Ex^H) * (Ey Ey^H) element-wise, independent of
+        the unit-modulus phase matrix, so one MW x MW factorisation serves
+        every refold of this geometry. Built on first call and cached;
+        eigenvalues are clipped at zero (K K^H is positive semidefinite).
         """
-        if self._normal_cache[0] is None:
-            nx, ny = self.grid.nx, self.grid.ny
-            dx = self.grid.extent_x / nx
-            dy = self.grid.extent_y / ny
-            theta = self.geometry.azimuth_angles
-            k = (4 * np.pi * self.geometry.frequencies
-                 * np.cos(self.geometry.elevation) / C_LIGHT)
-            sx, sy = 2 * nx, 2 * ny
-            # circulant embedding: index p maps to difference p or p - s
-            ddx = dx * np.where(np.arange(sx) < nx, np.arange(sx), np.arange(sx) - sx)
-            ddy = dy * np.where(np.arange(sy) < ny, np.arange(sy), np.arange(sy) - sy)
-            gen = np.zeros((sy, sx), dtype=complex)
-            for m in range(theta.size):
-                proj = (np.cos(theta[m]) * ddx[None, :]
-                        + np.sin(theta[m]) * ddy[:, None])
-                gen += np.sum(np.exp(1j * k[:, None, None] * proj[None, :, :]),
-                              axis=0)
-            self._normal_cache[0] = np.fft.fft2(gen)
-        return self._normal_cache[0]
+        if self._eigh_cache[0] is None:
+            gram = (self._ex @ self._ex.conj().T) * (self._ey @ self._ey.conj().T)
+            lam, vecs = np.linalg.eigh(gram)
+            self._eigh_cache[0] = (np.maximum(lam, 0.0), vecs)
+        return self._eigh_cache[0]
 
     def normal_apply(self, image):
-        """A^H A x via the Toeplitz/FFT fast path (phase matrix included).
-
-        Numerically equivalent to adjoint(apply(x)) to machine precision,
-        at O(N log N) cost; used by the iterative inner solvers.
-        """
-        image = np.asarray(image, dtype=complex)
-        if image.shape != (self.grid.n_pixels,):
-            raise ValueError("image length must equal the pixel count N")
-        nx, ny = self.grid.nx, self.grid.ny
-        u = (self.phase_matrix * image).reshape(ny, nx)
-        # R[i] = sum_j T[j-i] u[j] equals conj(T * conj(u)) since T[-d]=conj(T[d])
-        w = np.zeros((2 * ny, 2 * nx), dtype=complex)
-        w[:ny, :nx] = np.conj(u)
-        conv = np.fft.ifft2(self._normal_fft_kernel() * np.fft.fft2(w))
-        r = np.conj(conv[:ny, :nx]).reshape(self.grid.n_pixels)
-        return np.conj(self.phase_matrix) * r
+        """A^H A x, evaluated as adjoint(apply(x)) (phase matrix included)."""
+        return self.adjoint(self.apply(image))
 
     def apply(self, image):
         """y = A x for a complex image of length N."""
         image = np.asarray(image)
         if image.shape != (self.grid.n_pixels,):
             raise ValueError("image length must equal the pixel count N")
-        return self._kernel @ (self.phase_matrix * image)
+        u = (self.phase_matrix * image).reshape(self.grid.ny, self.grid.nx)
+        return np.sum((self._ey @ u) * self._ex, axis=1)
 
     def adjoint(self, data):
         """x = A^H y for a measurement vector of length W*M."""
         data = np.asarray(data)
         if data.shape != (self.n_measurements,):
             raise ValueError("data length must equal W*M")
-        return np.conj(self.phase_matrix) * (self._kernel.conj().T @ data)
+        # Ey^H (y * conj(Ex)), conjugated once at the end instead of copying
+        # conj(Ex) and conj(Ey) on every call
+        x = self._ey.T @ (np.conj(data)[:, None] * self._ex)
+        return np.conj(self.phase_matrix * x.reshape(self.grid.n_pixels))
 
 
 def make_operator(grid, geometry):

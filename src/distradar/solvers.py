@@ -7,8 +7,9 @@ Both engines optimize
 over nonnegative magnitude images, differing only in the coupling
 constraint: consensus ties every local image to the global one
 (x_q = x_G for all q), sharing ties their sum (sum_q x_q = x_G). One
-loop, run, serves both forms. Local updates are closed forms solved with
-conjugate gradient; global updates are exact one-sided soft-thresholds.
+loop, run, serves both forms. Local updates are exact solves through the
+matrix-inversion lemma on each cluster's cached row-Gram eigendecomposition;
+global updates are exact one-sided soft-thresholds.
 FISTA is kept only for the per-cluster composite baseline.
 
 All sums over clusters use a fixed ascending-q order so results are bit
@@ -38,17 +39,13 @@ class SolverConfig:
     eps_abs: float = 1e-2
     eps_rel: float = 1e-2
     max_outer_iters: int = 100
-    cg_max_iters: int = 50
-    cg_tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("mu", "lam", "beta", "eps_abs", "eps_rel", "cg_tol"):
+        for name in ("mu", "lam", "beta", "eps_abs", "eps_rel"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.cg_max_iters < 1:
-            raise ValueError("cg_max_iters must be >= 1")
 
 
 @dataclass
@@ -77,35 +74,20 @@ class ReconstructionResult:
     objective_history: list
 
 
-def cg_solve(op, mu, beta, rhs, cg_max_iters, cg_tol):
-    """Conjugate gradient solve of (mu*A^H A + beta*I) v = rhs from v = 0.
+def local_solve(op, mu, beta, rhs):
+    """Exact solve of (mu*A^H A + beta*I) v = rhs.
 
-    Stops when the residual norm drops below cg_tol*||rhs||, or when the
-    iteration budget runs out. The system matrix is Hermitian positive
-    definite for mu, beta > 0.
+    The matrix-inversion lemma trades the N x N system for an MW x MW one
+    (MW <= N in every preset): with A A^H = U diag(lam) U^H from
+    op.gram_eigh(), v = (rhs - mu*A^H U diag(1/(beta + mu*lam)) U^H A rhs)/beta.
     """
     rhs = np.asarray(rhs, dtype=complex)
     if not np.all(np.isfinite(rhs.view(float))):
-        raise NumericalError("cg_solve: non-finite right-hand side")
-    v = np.zeros_like(rhs)
-    r = rhs.copy()
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0:
-        return v
-    p = r.copy()
-    rs = np.vdot(r, r).real
-    tol = cg_tol * rhs_norm
-    for _ in range(cg_max_iters):
-        if np.sqrt(rs) <= tol:
-            break
-        ap = mu * op.normal_apply(p) + beta * p
-        alpha = rs / np.vdot(p, ap).real
-        v += alpha * p
-        r -= alpha * ap
-        rs_new = np.vdot(r, r).real
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return v
+        raise NumericalError("local_solve: non-finite right-hand side")
+    lam, vecs = op.gram_eigh()
+    # U^H a as conj(conj(a) U): a matrix-vector product without a conj(U) copy
+    t = np.conj(np.conj(op.apply(rhs)) @ vecs) / (beta + mu * lam)
+    return (rhs - mu * op.adjoint(vecs @ t)) / beta
 
 
 def accelerated_prox_gradient(grad, lipschitz, lam, n, max_iters, tol):
@@ -130,28 +112,26 @@ def accelerated_prox_gradient(grad, lipschitz, lam, n, max_iters, tol):
     return z
 
 
-def local_update_cadmm(op, y, x_global, sigma_q, cfg):
+def local_update_cadmm(op, mu_ahy, x_global, sigma_q, cfg):
     """Closed-form local image update of the consensus engine.
 
-    Solves (mu*A^H A + beta*I) v = mu*A^H y + beta*x_G - sigma_q with CG,
-    then projects onto the real nonnegative orthant.
+    Solves (mu*A^H A + beta*I) v = mu*A^H y + beta*x_G - sigma_q exactly,
+    then projects onto the real nonnegative orthant. mu_ahy is the
+    iteration-invariant term mu*A^H y.
     """
-    rhs = cfg.mu * op.adjoint(y) + cfg.beta * x_global - sigma_q
-    v = cg_solve(op, cfg.mu, cfg.beta, rhs, cfg.cg_max_iters, cfg.cg_tol)
-    return np.maximum(v.real, 0.0)
+    rhs = mu_ahy + cfg.beta * x_global - sigma_q
+    return np.maximum(local_solve(op, cfg.mu, cfg.beta, rhs).real, 0.0)
 
 
-def local_update_sadmm(op, y, x_global, x_bar_prev, x_q_prev, sigma, cfg):
+def local_update_sadmm(op, mu_ahy, x_global, x_bar_prev, x_q_prev, sigma, cfg):
     """Closed-form local image update of the sharing engine.
 
     The right-hand side replaces beta*x_G with
     beta*(x_G - (x_bar_prev - x_q_prev)), the sum of the other clusters'
     previous images entering through x_bar_prev.
     """
-    rhs = (cfg.mu * op.adjoint(y)
-           + cfg.beta * (x_global - (x_bar_prev - x_q_prev)) - sigma)
-    v = cg_solve(op, cfg.mu, cfg.beta, rhs, cfg.cg_max_iters, cfg.cg_tol)
-    return np.maximum(v.real, 0.0)
+    rhs = mu_ahy + cfg.beta * (x_global - (x_bar_prev - x_q_prev)) - sigma
+    return np.maximum(local_solve(op, cfg.mu, cfg.beta, rhs).real, 0.0)
 
 
 def _sum_ascending(vectors):
@@ -250,6 +230,10 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
     may run on a thread pool; results are collected in cluster order, so
     the iterates do not depend on the schedule. on_iteration, when given,
     receives the SolverState after every outer iteration.
+
+    Before the loop, each cluster's row-Gram factorisation is built (or
+    reused from an earlier run on the same geometry) in ascending q on the
+    calling thread, and mu*A_q^H y_q is formed once.
     """
     if method not in (CADMM, SADMM):
         raise ValueError(f"unknown method {method!r}")
@@ -265,6 +249,9 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
     state = SolverState(local, x_global, dual)
     objective_history = []
     termination = "max_iters"
+    for op in operators:
+        op.gram_eigh()
+    mu_ahy = [cfg.mu * op.adjoint(y) for op, y in zip(operators, measurements)]
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         for k in range(cfg.max_outer_iters):
@@ -272,14 +259,14 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
             if method == CADMM:
                 def one(q):
                     return local_update_cadmm(
-                        operators[q], measurements[q], x_global,
+                        operators[q], mu_ahy[q], x_global,
                         dual[q * n:(q + 1) * n], cfg)
             else:
                 x_bar_prev = _sum_ascending(list(local))
 
                 def one(q):
                     return local_update_sadmm(
-                        operators[q], measurements[q], x_global,
+                        operators[q], mu_ahy[q], x_global,
                         x_bar_prev, local[q], dual, cfg)
             if pool is not None:
                 new_local = list(pool.map(one, range(q_count)))

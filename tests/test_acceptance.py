@@ -132,21 +132,21 @@ def test_criterion_1_operator_vs_dense(medium_grid, medium_geometry):
         assert time.perf_counter() - t0 < 1.0
 
 
-def test_criterion_2_cg_vs_dense(medium_grid, medium_geometry):
+def test_criterion_2_local_solve_vs_dense(medium_grid, medium_geometry):
     with report(2):
         t0 = time.perf_counter()
-        op = model.make_operator(medium_grid, medium_geometry)
-        dense = dense_operator_matrix(medium_grid, medium_geometry)
         rng = np.random.default_rng(200)
+        theta = np.exp(1j * rng.uniform(0, 2 * math.pi, 256))
+        op = model.make_operator(medium_grid, medium_geometry).with_phase_matrix(theta)
+        dense = dense_operator_matrix(medium_grid, medium_geometry, theta)
         for _ in range(50):
             mu = rng.uniform(0.5, 2.0)
             beta = rng.uniform(0.5, 5.0)
             rhs = rng.standard_normal(256) + 1j * rng.standard_normal(256)
             ref = np.linalg.solve(
                 mu * dense.conj().T @ dense + beta * np.eye(256), rhs)
-            got = solvers.cg_solve(op, mu, beta, rhs, cg_max_iters=600,
-                                   cg_tol=1e-13)
-            assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+            got = solvers.local_solve(op, mu, beta, rhs)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         assert time.perf_counter() - t0 < 10.0
 
 

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distradar
 from distradar import cli
 from distradar.cli import (ConfigError, build_scenario, cmd_metrics,
                            cmd_reconstruct, cmd_simulate, cmd_sweep,
                            load_bundle, load_config, main)
+from distradar.metrics import load_image_csv
 
 BASE_CONFIG = """\
 [scene]
@@ -187,7 +193,8 @@ def test_load_bundle_errors(tmp_path, bundle):
 
 
 @pytest.mark.parametrize("key", ["method = cadmm", "prox_max_iters = 200",
-                                 "prox_tol = 1e-8"])
+                                 "prox_tol = 1e-8", "cg_max_iters = 50",
+                                 "cg_tol = 1e-6"])
 def test_removed_solver_keys_rejected(tmp_path, capsys, key):
     # bundles written before these keys were dropped carry them in
     # config.ini; they are rejected like any other unknown key
@@ -245,6 +252,40 @@ def test_reconstruct_deterministic_and_thread_invariant(bundle, tmp_path):
     b = cmd_reconstruct(bundle, "cadmm", tmp_path / "b", threads=2)
     for name in ("image.csv", "image.pgm", "convergence.csv", "report.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _reconstruct_with_blas_threads(bundle, out, blas_threads):
+    src = str(Path(distradar.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               OMP_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-m", "distradar.cli", "reconstruct",
+                    "--config", str(bundle), "--method", "cadmm",
+                    "--out", str(out)],
+                   env=env, check=True, capture_output=True)
+    report = dict(line.split(": ", 1)
+                  for line in (out / "report.txt").read_text().splitlines())
+    return report, load_image_csv(out / "image.csv")
+
+
+def test_reconstruct_across_blas_thread_counts(tmp_path):
+    # LAPACK factorisations (the local solve's eigh) differ in the last bits
+    # between BLAS thread counts once they are large enough to be threaded
+    # (MW = 256 here), so this contract is a tolerance, not byte identity:
+    # same iteration count and termination, images within 1e-9 relative
+    path = tmp_path / "blas.ini"
+    path.write_text(BASE_CONFIG.replace("nx = 8", "nx = 16")
+                    .replace("ny = 8", "ny = 16")
+                    .replace("apcs_per_cluster = 3", "apcs_per_cluster = 8")
+                    .replace("freq_count = 4", "freq_count = 32"))
+    bundle = cmd_simulate(path, tmp_path / "bundle")
+    report_1, image_1 = _reconstruct_with_blas_threads(bundle, tmp_path / "t1", 1)
+    report_2, image_2 = _reconstruct_with_blas_threads(bundle, tmp_path / "t2", 2)
+    assert report_1["iterations"] == report_2["iterations"]
+    assert report_1["termination"] == report_2["termination"]
+    assert (np.max(np.abs(image_1 - image_2))
+            <= 1e-9 * np.max(np.abs(image_1)))
 
 
 def test_reconstruct_overrides(bundle, tmp_path):

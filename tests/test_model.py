@@ -149,12 +149,21 @@ def test_normal_apply_matches_gram(medium_grid, medium_geometry):
     op = make_operator(medium_grid, medium_geometry)
     rng = np.random.default_rng(17)
     theta = np.exp(1j * rng.uniform(0, 2 * math.pi, medium_grid.n_pixels))
-    for candidate in (op, op.with_phase_matrix(theta)):
+    for candidate, phase in ((op, None), (op.with_phase_matrix(theta), theta)):
+        dense = dense_operator_matrix(medium_grid, medium_geometry, phase)
         x = (rng.standard_normal(medium_grid.n_pixels)
              + 1j * rng.standard_normal(medium_grid.n_pixels))
-        direct = candidate.adjoint(candidate.apply(x))
+        direct = dense.conj().T @ (dense @ x)
         fast = candidate.normal_apply(x)
         np.testing.assert_allclose(fast, direct, rtol=1e-11, atol=1e-11)
+
+
+def test_gram_eigh_shared_across_refolds(small_grid, small_geometry):
+    # A A^H does not depend on the phase matrix, so refolded copies reuse
+    # the factorisation of the operator they were made from
+    op = make_operator(small_grid, small_geometry)
+    folded = op.with_phase_matrix(np.exp(1j * np.full(16, 0.3)))
+    assert folded.gram_eigh() is op.gram_eigh()
 
 
 def test_estimate_phase_matrix_zero_measurements(small_grid, small_geometry):
