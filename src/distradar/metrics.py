@@ -73,19 +73,24 @@ def detect_peaks(image, nx, rel_threshold, radius):
     """Greedy non-maximum suppression of above-threshold pixels.
 
     Candidates above rel_threshold*peak are visited in order of
-    decreasing value (ties by flat index); each suppresses later
-    candidates within the Chebyshev radius. Returns flat indices.
+    decreasing value (ties by flat index); each kept one blocks its
+    (2*radius+1)^2 Chebyshev window, and blocked candidates are skipped.
+    Returns flat indices.
     """
     image = np.asarray(image, dtype=float)
     peak = image.max(initial=0.0)
     if peak <= 0:
         return []
     candidates = np.flatnonzero(image > rel_threshold * peak)
-    order = sorted(candidates, key=lambda i: (-image[i], i))
+    order = candidates[np.lexsort((candidates, -image[candidates]))]
+    blocked = np.zeros((-(-image.size // nx), nx), dtype=bool)  # ceil rows
     kept = []
-    for i in order:
-        if all(_chebyshev(i, j, nx) > radius for j in kept):
-            kept.append(int(i))
+    for i in order.tolist():
+        iy, ix = divmod(i, nx)
+        if not blocked[iy, ix]:
+            kept.append(i)
+            blocked[max(iy - radius, 0):iy + radius + 1,
+                    max(ix - radius, 0):ix + radius + 1] = True
     return kept
 
 

@@ -6,10 +6,11 @@ centers (APCs). The kernel is an exact nonuniform DFT. Its phase splits
 into an x term and a y term, so the operator stores one small factor per
 pixel axis and applies the kernel as two matrix products, O(W*M*N) per
 application without a dense MW x N matrix. The row Gram A A^H (MW x MW)
-is phase-free; its cached eigendecomposition gives the ADMM local solve
-in closed form.
+is phase-free; the cached inverse of beta*I + mu*A A^H gives the ADMM
+local solve in closed form.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,15 @@ class ClusterGeometry:
         return float(np.mean(self.azimuth_angles))
 
 
+def _checked_phase_matrix(phase_matrix, n):
+    phase_matrix = np.asarray(phase_matrix, dtype=complex)
+    if phase_matrix.shape != (n,):
+        raise ValueError("phase_matrix must have length N")
+    if np.any(np.abs(np.abs(phase_matrix) - 1.0) > 1e-12):
+        raise ValueError("phase_matrix entries must be unit modulus")
+    return phase_matrix
+
+
 class ForwardOperator:
     """Separable matrix representation A of the cluster's measurement kernel.
 
@@ -119,26 +129,18 @@ class ForwardOperator:
 
     The unit-modulus phase_matrix is the diagonal of the per-pixel phase
     matrix folded into A; it defaults to all ones. Instances are immutable
-    after construction apart from the lazy gram_eigh cache; once that is
-    filled they are safe to share across threads. apply/adjoint allocate
-    fresh outputs.
+    after construction apart from the lazy solve_matrix cache; once that
+    holds the (mu, beta) in use they are safe to share across threads.
+    apply/adjoint allocate fresh outputs.
     """
 
     def __init__(self, grid, geometry, phase_matrix=None):
         self.grid = grid
         self.geometry = geometry
-        n = grid.n_pixels
-        if phase_matrix is None:
-            phase_matrix = np.ones(n, dtype=complex)
-        else:
-            phase_matrix = np.asarray(phase_matrix, dtype=complex)
-            if phase_matrix.shape != (n,):
-                raise ValueError("phase_matrix must have length N")
-            if np.any(np.abs(np.abs(phase_matrix) - 1.0) > 1e-12):
-                raise ValueError("phase_matrix entries must be unit modulus")
-        self.phase_matrix = phase_matrix
+        self.phase_matrix = (np.ones(grid.n_pixels, dtype=complex) if phase_matrix is None
+                             else _checked_phase_matrix(phase_matrix, grid.n_pixels))
         self._ex, self._ey = self._build_factors()
-        self._eigh_cache = [None]  # lazy, shared across refolds
+        self._solve_cache = [None]  # lazy (mu, beta, M), shared across refolds
 
     def _build_factors(self):
         xs, ys = self.grid.axes()
@@ -155,32 +157,26 @@ class ForwardOperator:
 
     def with_phase_matrix(self, phase_matrix):
         """Copy of this operator with a different folded phase matrix."""
-        op = ForwardOperator.__new__(ForwardOperator)
-        op.grid = self.grid
-        op.geometry = self.geometry
-        phase_matrix = np.asarray(phase_matrix, dtype=complex)
-        if phase_matrix.shape != (self.grid.n_pixels,):
-            raise ValueError("phase_matrix must have length N")
-        if np.any(np.abs(np.abs(phase_matrix) - 1.0) > 1e-12):
-            raise ValueError("phase_matrix entries must be unit modulus")
-        op.phase_matrix = phase_matrix
-        op._ex, op._ey = self._ex, self._ey
-        op._eigh_cache = self._eigh_cache
+        op = copy.copy(self)  # shares the factors and the solve-matrix cache
+        op.phase_matrix = _checked_phase_matrix(phase_matrix, self.grid.n_pixels)
         return op
 
-    def gram_eigh(self):
-        """Eigendecomposition (lam, U) of A A^H = U diag(lam) U^H.
+    def solve_matrix(self, mu, beta):
+        """M = (beta*I + mu*A A^H)^-1, the MW x MW matrix of the local solve.
 
         A A^H = K K^H = (Ex Ex^H) * (Ey Ey^H) element-wise, independent of
-        the unit-modulus phase matrix, so one MW x MW factorisation serves
-        every refold of this geometry. Built on first call and cached;
-        eigenvalues are clipped at zero (K K^H is positive semidefinite).
+        the unit-modulus phase matrix, so one inverse serves every refold of
+        this geometry. Built on first call and cached in a single slot keyed
+        on (mu, beta); a call with other values rebuilds it.
         """
-        if self._eigh_cache[0] is None:
-            gram = (self._ex @ self._ex.conj().T) * (self._ey @ self._ey.conj().T)
-            lam, vecs = np.linalg.eigh(gram)
-            self._eigh_cache[0] = (np.maximum(lam, 0.0), vecs)
-        return self._eigh_cache[0]
+        cached = self._solve_cache[0]
+        if cached is None or cached[:2] != (mu, beta):
+            gram = self._ex @ self._ex.conj().T
+            gram *= self._ey @ self._ey.conj().T
+            gram *= mu
+            gram.flat[::gram.shape[0] + 1] += beta
+            self._solve_cache[0] = cached = (mu, beta, np.linalg.inv(gram))
+        return cached[2]
 
     def normal_apply(self, image):
         """A^H A x, evaluated as adjoint(apply(x)) (phase matrix included)."""

@@ -8,8 +8,8 @@ over nonnegative magnitude images, differing only in the coupling
 constraint: consensus ties every local image to the global one
 (x_q = x_G for all q), sharing ties their sum (sum_q x_q = x_G). One
 loop, run, serves both forms. Local updates are exact solves through the
-matrix-inversion lemma on each cluster's cached row-Gram eigendecomposition;
-global updates are exact one-sided soft-thresholds.
+matrix-inversion lemma on each cluster's cached inverse of
+beta*I + mu*A_q A_q^H; global updates are exact one-sided soft-thresholds.
 FISTA is kept only for the per-cluster composite baseline.
 
 All sums over clusters use a fixed ascending-q order so results are bit
@@ -78,16 +78,14 @@ def local_solve(op, mu, beta, rhs):
     """Exact solve of (mu*A^H A + beta*I) v = rhs.
 
     The matrix-inversion lemma trades the N x N system for an MW x MW one
-    (MW <= N in every preset): with A A^H = U diag(lam) U^H from
-    op.gram_eigh(), v = (rhs - mu*A^H U diag(1/(beta + mu*lam)) U^H A rhs)/beta.
+    (MW <= N in every preset): with M = (beta*I + mu*A A^H)^-1 from
+    op.solve_matrix(mu, beta), v = (rhs - mu*A^H M A rhs)/beta.
     """
     rhs = np.asarray(rhs, dtype=complex)
     if not np.all(np.isfinite(rhs.view(float))):
         raise NumericalError("local_solve: non-finite right-hand side")
-    lam, vecs = op.gram_eigh()
-    # U^H a as conj(conj(a) U): a matrix-vector product without a conj(U) copy
-    t = np.conj(np.conj(op.apply(rhs)) @ vecs) / (beta + mu * lam)
-    return (rhs - mu * op.adjoint(vecs @ t)) / beta
+    m = op.solve_matrix(mu, beta)
+    return (rhs - mu * op.adjoint(m @ op.apply(rhs))) / beta
 
 
 def accelerated_prox_gradient(grad, lipschitz, lam, n, max_iters, tol):
@@ -231,9 +229,9 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
     the iterates do not depend on the schedule. on_iteration, when given,
     receives the SolverState after every outer iteration.
 
-    Before the loop, each cluster's row-Gram factorisation is built (or
-    reused from an earlier run on the same geometry) in ascending q on the
-    calling thread, and mu*A_q^H y_q is formed once.
+    Before the loop, each cluster's solve matrix for (cfg.mu, cfg.beta) is
+    built (or reused from an earlier run on the same geometry and values)
+    in ascending q on the calling thread, and mu*A_q^H y_q is formed once.
     """
     if method not in (CADMM, SADMM):
         raise ValueError(f"unknown method {method!r}")
@@ -250,7 +248,7 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
     objective_history = []
     termination = "max_iters"
     for op in operators:
-        op.gram_eigh()
+        op.solve_matrix(cfg.mu, cfg.beta)
     mu_ahy = [cfg.mu * op.adjoint(y) for op, y in zip(operators, measurements)]
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distradar.metrics import (EntropyConfig, detect_peaks, export_image,
                                image_entropy, load_image_csv,
@@ -80,6 +82,37 @@ def test_detect_peaks_tie_breaks_by_index():
     img = np.zeros(16)
     img[10] = img[2] = 1.0
     assert detect_peaks(img, 4, 0.5, 1) == [2, 10]
+
+
+def _detect_peaks_reference(image, nx, rel_threshold, radius):
+    # quadratic greedy: each candidate is checked against every kept peak
+    peak = image.max(initial=0.0)
+    if peak <= 0:
+        return []
+    candidates = np.flatnonzero(image > rel_threshold * peak)
+    kept = []
+    for i in sorted(candidates, key=lambda i: (-image[i], i)):
+        iy, ix = divmod(int(i), nx)
+        if all(max(abs(iy - jy), abs(ix - jx)) > radius
+               for jy, jx in (divmod(j, nx) for j in kept)):
+            kept.append(int(i))
+    return kept
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 3),
+       st.floats(0.0, 0.99), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_detect_peaks_matches_quadratic_reference(nx, ny, radius,
+                                                  rel_threshold, levels, seed):
+    # levels > 0 draws from that many values in [0, 1], forcing ties (one
+    # level is the all-zero image); levels == 0 draws continuous values
+    rng = np.random.default_rng(seed)
+    if levels:
+        img = rng.integers(0, levels, nx * ny) / max(levels - 1, 1)
+    else:
+        img = rng.uniform(0.0, 1.0, nx * ny)
+    assert (detect_peaks(img, nx, rel_threshold, radius)
+            == _detect_peaks_reference(img, nx, rel_threshold, radius))
 
 
 def test_support_f1_exact_recovery():

@@ -158,12 +158,21 @@ def test_normal_apply_matches_gram(medium_grid, medium_geometry):
         np.testing.assert_allclose(fast, direct, rtol=1e-11, atol=1e-11)
 
 
-def test_gram_eigh_shared_across_refolds(small_grid, small_geometry):
+def test_solve_matrix_shared_across_refolds(small_grid, small_geometry):
     # A A^H does not depend on the phase matrix, so refolded copies reuse
-    # the factorisation of the operator they were made from
+    # the inverse of the operator they were made from until (mu, beta)
+    # changes
     op = make_operator(small_grid, small_geometry)
     folded = op.with_phase_matrix(np.exp(1j * np.full(16, 0.3)))
-    assert folded.gram_eigh() is op.gram_eigh()
+    first = op.solve_matrix(0.7, 2.3)
+    assert folded.solve_matrix(0.7, 2.3) is first
+    other = folded.solve_matrix(0.7, 4.0)
+    assert other is not first
+    assert op.solve_matrix(0.7, 4.0) is other
+    assert not np.allclose(other, first)
+    again = op.solve_matrix(0.7, 2.3)
+    assert again is not other
+    np.testing.assert_array_equal(again, first)
 
 
 def test_estimate_phase_matrix_zero_measurements(small_grid, small_geometry):

@@ -1,4 +1,5 @@
-"""Property tests of the separable forward operator and the exact local solve.
+"""Property tests of the separable forward operator, the exact local solve
+and the single-cluster degeneration of the two ADMM forms.
 
 Grids are drawn with nx != ny so that a transposed reshape of the factored
 operator cannot pass; every check is against the entry-by-entry dense
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distradar.model import ClusterGeometry, SceneGrid, make_operator
-from distradar.solvers import local_solve
+from distradar.solvers import CADMM, SADMM, SolverConfig, local_solve, run
 
 from conftest import dense_operator_matrix
 
@@ -73,17 +74,17 @@ def test_adjointness(case):
 
 
 @PROPERTY
-@given(cases())
-def test_row_gram_matches_dense(case):
-    # the factorisation is phase-free: A A^H of a folded operator is K K^H
+@given(cases(), st.floats(0.5, 2.0), st.floats(0.5, 5.0))
+def test_solve_matrix_inverts_dense_gram(case, mu, beta):
+    # the inverse is phase-free: beta*I + mu*A A^H of a folded operator is
+    # beta*I + mu*K K^H
     grid, geometry, rng = case
     theta = _phase(rng, grid.n_pixels)
     op = make_operator(grid, geometry).with_phase_matrix(theta)
     dense = dense_operator_matrix(grid, geometry, theta)
-    lam, vecs = op.gram_eigh()
-    gram_ref = dense @ dense.conj().T
-    gram = (vecs * lam) @ vecs.conj().T
-    assert np.linalg.norm(gram - gram_ref) <= 1e-12 * np.linalg.norm(gram_ref)
+    eye = np.eye(op.n_measurements)
+    system = beta * eye + mu * dense @ dense.conj().T
+    assert np.linalg.norm(system @ op.solve_matrix(mu, beta) - eye) <= 1e-10
 
 
 @PROPERTY
@@ -98,3 +99,23 @@ def test_local_solve_matches_dense(case, mu, beta):
                           + beta * np.eye(grid.n_pixels), rhs)
     got = local_solve(op, mu, beta, rhs)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@PROPERTY
+@given(cases(), st.floats(0.5, 2.0), st.floats(0.1, 5.0), st.floats(0.5, 5.0),
+       st.integers(1, 15))
+def test_single_cluster_methods_agree(case, mu, lam, beta, iters):
+    # with one cluster the consensus and sharing constraints coincide, so
+    # both forms run the same iterates up to rounding in the global update
+    grid, geometry, rng = case
+    op = make_operator(grid, geometry).with_phase_matrix(_phase(rng, grid.n_pixels))
+    scene = rng.uniform(0.0, 1.0, grid.n_pixels) * (rng.uniform(size=grid.n_pixels) < 0.3)
+    y = op.apply(scene.astype(complex)) + 0.01 * _complex(rng, op.n_measurements)
+    cfg = SolverConfig(mu=mu, lam=lam, beta=beta, eps_abs=1e-300,
+                       eps_rel=1e-300, max_outer_iters=iters)
+    a = run(CADMM, [op], [y], cfg)
+    b = run(SADMM, [op], [y], cfg)
+    assert a.state.iter == b.state.iter == iters
+    for got, ref in ((b.state.global_image, a.state.global_image),
+                     (b.state.local_images, a.state.local_images)):
+        assert np.linalg.norm(got - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
