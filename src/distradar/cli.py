@@ -12,6 +12,8 @@ import argparse
 import configparser
 import csv
 import math
+import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -316,6 +318,9 @@ def _fold_phase_matrices(operators, measurements):
 def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
                     max_iters=None, threads=1):
     """Run one reconstruction method on a bundle and write a result bundle."""
+    out = Path(os.path.abspath(out_dir if out_dir is not None else
+                               Path(bundle_path) / f"recon_{method}"))
+    _check_replaceable(out)
     cfg, operators, measurements, truth_support = load_bundle(bundle_path)
     solver_cfg = cfg.solver
     if beta is not None:
@@ -338,16 +343,66 @@ def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
     elif method == "composite":
         folded = _fold_phase_matrices(operators, measurements)
         image = solvers.composite_baseline(folded, measurements, solver_cfg.lam,
-                                           max_iters=1000)
+                                           max_iters=1000, threads=threads)
         termination = "n/a"
     else:
         raise ConfigError(f"unknown method {method!r}")
     wall_s = time.perf_counter() - t_start
-    # created only once the solve has returned, so a failed run leaves no
-    # empty result directory behind
-    out = Path(out_dir if out_dir is not None else
-               Path(bundle_path) / f"recon_{method}")
-    out.mkdir(parents=True, exist_ok=True)
+    # the bundle is written into a temporary sibling and renamed into place
+    # once complete, so a failed solve or export leaves neither a partial
+    # bundle nor a half-replaced old one
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f".{out.name}.partial-{os.getpid()}")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir()
+    try:
+        _write_result(tmp, bundle_path, method, cfg, solver_cfg, image,
+                      termination, result, truth_support, wall_s)
+        _check_replaceable(out)  # again: it may have appeared since
+        if out.exists():
+            old = out.with_name(f".{out.name}.old-{os.getpid()}")
+            shutil.rmtree(old, ignore_errors=True)
+            out.rename(old)
+            try:
+                tmp.rename(out)
+            except OSError:
+                old.rename(out)
+                raise
+            # the new bundle is in place; a leftover old copy is no failure
+            shutil.rmtree(old, ignore_errors=True)
+        else:
+            tmp.rename(out)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return out
+
+
+_RESULT_FILES = frozenset({"image.csv", "image.pgm", "wall_s.txt",
+                           "convergence.csv", "timing.csv", "report.txt",
+                           "manifest.txt"})
+
+
+def _check_replaceable(out):
+    """Raise ConfigError unless `out` (absolute) is absent, an empty
+    directory or an earlier result bundle, since replacing it deletes it."""
+    if not out.name:
+        raise ConfigError(f"--out {out} names no directory")
+    if not (out.exists() or out.is_symlink()):
+        return
+    cwd = Path.cwd()
+    if out.is_symlink() or not out.is_dir() or out == cwd or out in cwd.parents:
+        raise ConfigError(f"refusing to replace {out}: not a result bundle "
+                          "directory")
+    entries = list(out.iterdir())
+    names = {p.name for p in entries}
+    if entries and ("manifest.txt" not in names or not names <= _RESULT_FILES
+                    or not all(p.is_file() for p in entries)):
+        raise ConfigError(f"refusing to replace {out}: it holds files that "
+                          "are not part of a result bundle")
+
+
+def _write_result(out, bundle_path, method, cfg, solver_cfg, image,
+                  termination, result, truth_support, wall_s):
     if "csv" in cfg.formats:
         metrics.export_image(image, cfg.grid, out / "image.csv", "csv")
     if "pgm" in cfg.formats:
@@ -399,7 +454,6 @@ def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
         f"seed: {cfg.seed}",
     ]
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
-    return out
 
 
 def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_path=None):
@@ -550,7 +604,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except solvers.NumericalError as exc:
+    except (solvers.NumericalError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

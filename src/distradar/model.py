@@ -6,11 +6,13 @@ centers (APCs). The kernel is an exact nonuniform DFT. Its phase splits
 into an x term and a y term, so the operator stores one small factor per
 pixel axis and applies the kernel as two matrix products, O(W*M*N) per
 application without a dense MW x N matrix. The row Gram A A^H (MW x MW)
-is phase-free; the cached inverse of beta*I + mu*A A^H gives the ADMM
-local solve in closed form.
+is phase-free, and real because the pixel centres are symmetric about 0;
+the cached real inverse of beta*I + mu*A A^H gives the ADMM local solve in
+closed form.
 """
 
 import copy
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +131,10 @@ class ForwardOperator:
 
     The unit-modulus phase_matrix is the diagonal of the per-pixel phase
     matrix folded into A; it defaults to all ones. Instances are immutable
-    after construction apart from the lazy solve_matrix cache; once that
-    holds the (mu, beta) in use they are safe to share across threads.
-    apply/adjoint allocate fresh outputs.
+    after construction apart from the lazy solve_matrix cache, which
+    solvers.run fills from its thread pool; a lock shared with the cache
+    makes concurrent calls build it once. apply/adjoint allocate fresh
+    outputs.
     """
 
     def __init__(self, grid, geometry, phase_matrix=None):
@@ -141,6 +144,7 @@ class ForwardOperator:
                              else _checked_phase_matrix(phase_matrix, grid.n_pixels))
         self._ex, self._ey = self._build_factors()
         self._solve_cache = [None]  # lazy (mu, beta, M), shared across refolds
+        self._solve_lock = threading.Lock()  # guards _solve_cache
 
     def _build_factors(self):
         xs, ys = self.grid.axes()
@@ -157,25 +161,31 @@ class ForwardOperator:
 
     def with_phase_matrix(self, phase_matrix):
         """Copy of this operator with a different folded phase matrix."""
-        op = copy.copy(self)  # shares the factors and the solve-matrix cache
+        op = copy.copy(self)  # shares the factors, solve-matrix cache and lock
         op.phase_matrix = _checked_phase_matrix(phase_matrix, self.grid.n_pixels)
         return op
 
     def solve_matrix(self, mu, beta):
-        """M = (beta*I + mu*A A^H)^-1, the MW x MW matrix of the local solve.
+        """M = (beta*I + mu*A A^H)^-1, the real MW x MW matrix of the local solve.
 
         A A^H = K K^H = (Ex Ex^H) * (Ey Ey^H) element-wise, independent of
         the unit-modulus phase matrix, so one inverse serves every refold of
-        this geometry. Built on first call and cached in a single slot keyed
-        on (mu, beta); a call with other values rebuilds it.
+        this geometry. The pixel centres on each axis are symmetric about 0,
+        so sum_i exp(j*kappa*x_i) is real and so is each factor Gram:
+        Ex Ex^H = Re(Ex) Re(Ex)^T + Im(Ex) Im(Ex)^T, one real product on the
+        interleaved (re, im) view of Ex. M is therefore a symmetric float64
+        matrix. Built on first call and cached in a single slot keyed on
+        (mu, beta); a call with other values rebuilds it.
         """
-        cached = self._solve_cache[0]
-        if cached is None or cached[:2] != (mu, beta):
-            gram = self._ex @ self._ex.conj().T
-            gram *= self._ey @ self._ey.conj().T
-            gram *= mu
-            gram.flat[::gram.shape[0] + 1] += beta
-            self._solve_cache[0] = cached = (mu, beta, np.linalg.inv(gram))
+        with self._solve_lock:
+            cached = self._solve_cache[0]
+            if cached is None or cached[:2] != (mu, beta):
+                ex, ey = self._ex.view(float), self._ey.view(float)
+                gram = ex @ ex.T
+                gram *= ey @ ey.T
+                gram *= mu
+                gram.flat[::gram.shape[0] + 1] += beta
+                self._solve_cache[0] = cached = (mu, beta, np.linalg.inv(gram))
         return cached[2]
 
     def normal_apply(self, image):

@@ -8,17 +8,20 @@ over nonnegative magnitude images, differing only in the coupling
 constraint: consensus ties every local image to the global one
 (x_q = x_G for all q), sharing ties their sum (sum_q x_q = x_G). One
 loop, run, serves both forms. Local updates are exact solves through the
-matrix-inversion lemma on each cluster's cached inverse of
+matrix-inversion lemma on each cluster's cached real inverse of
 beta*I + mu*A_q A_q^H; global updates are exact one-sided soft-thresholds.
 FISTA is kept only for the per-cluster composite baseline.
 
-All sums over clusters use a fixed ascending-q order so results are bit
-reproducible regardless of scheduling.
+Per-cluster work (the solve-matrix build, the local update with its
+data-fit term, a composite FISTA problem) runs on one thread pool when
+threads > 1. All sums over clusters use a fixed ascending-q order so
+results are bit reproducible regardless of scheduling.
 """
 
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,13 +82,18 @@ def local_solve(op, mu, beta, rhs):
 
     The matrix-inversion lemma trades the N x N system for an MW x MW one
     (MW <= N in every preset): with M = (beta*I + mu*A A^H)^-1 from
-    op.solve_matrix(mu, beta), v = (rhs - mu*A^H M A rhs)/beta.
+    op.solve_matrix(mu, beta), v = (rhs - mu*A^H M A rhs)/beta. M is real,
+    so it multiplies the (re, im) columns of A rhs as one real
+    (MW x MW) @ (MW x 2) product; M @ z with a complex z would cast M to
+    complex on every call.
     """
     rhs = np.asarray(rhs, dtype=complex)
     if not np.all(np.isfinite(rhs.view(float))):
         raise NumericalError("local_solve: non-finite right-hand side")
     m = op.solve_matrix(mu, beta)
-    return (rhs - mu * op.adjoint(m @ op.apply(rhs))) / beta
+    ar = op.apply(rhs).view(float).reshape(-1, 2)
+    mar = (m @ ar).view(complex).reshape(-1)
+    return (rhs - mu * op.adjoint(mar)) / beta
 
 
 def accelerated_prox_gradient(grad, lipschitz, lam, n, max_iters, tol):
@@ -211,12 +219,16 @@ def residuals_and_tolerances(method, x_global_prev, state, cfg):
     return float(primal_norm), float(dual_norm), float(eps_pri), float(eps_dual)
 
 
-def _objective(operators, measurements, local_images, x_global, cfg):
-    acc = 0.0
-    for op, y, x_q in zip(operators, measurements, local_images):
-        r = y - op.apply(x_q.astype(complex))
-        acc += (cfg.mu / 2) * float(np.vdot(r, r).real)
-    return acc + cfg.lam * float(np.sum(np.abs(x_global)))
+def _thread_pool(threads):
+    # a context manager yielding the executor, or None for the serial path
+    return ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+
+
+def _map_clusters(pool, task, q_count):
+    # task(q) for q = 0..Q-1, results in cluster order whatever the schedule
+    if pool is None:
+        return [task(q) for q in range(q_count)]
+    return list(pool.map(task, range(q_count)))
 
 
 def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
@@ -224,14 +236,17 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
 
     Starts from all-zero primal and dual variables. Each outer iteration
     performs local updates (reading only iteration-k shared state), the
-    global update, the dual update, and the stopping check. Local updates
-    may run on a thread pool; results are collected in cluster order, so
-    the iterates do not depend on the schedule. on_iteration, when given,
-    receives the SolverState after every outer iteration.
+    global update, the dual update, and the stopping check. on_iteration,
+    when given, receives the SolverState after every outer iteration.
 
-    Before the loop, each cluster's solve matrix for (cfg.mu, cfg.beta) is
-    built (or reused from an earlier run on the same geometry and values)
-    in ascending q on the calling thread, and mu*A_q^H y_q is formed once.
+    Every per-cluster stage runs as one task per cluster, on a thread pool
+    when threads > 1: before the loop, building (or reusing, from an
+    earlier run on the same geometry and values) the solve matrix for
+    (cfg.mu, cfg.beta) and forming mu*A_q^H y_q; in the loop, the local
+    update followed by that cluster's data-fit term of the objective.
+    Results are collected and summed in ascending q, so the iterates and
+    the objective do not depend on the schedule. A record's wall_ms covers
+    the whole iteration, data-fit terms included.
     """
     if method not in (CADMM, SADMM):
         raise ValueError(f"unknown method {method!r}")
@@ -247,29 +262,31 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
     state = SolverState(local, x_global, dual)
     objective_history = []
     termination = "max_iters"
-    for op in operators:
-        op.solve_matrix(cfg.mu, cfg.beta)
-    mu_ahy = [cfg.mu * op.adjoint(y) for op, y in zip(operators, measurements)]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
+
+    def setup(q):
+        operators[q].solve_matrix(cfg.mu, cfg.beta)
+        return cfg.mu * operators[q].adjoint(measurements[q])
+
+    with _thread_pool(threads) as pool:
+        mu_ahy = _map_clusters(pool, setup, q_count)
         for k in range(cfg.max_outer_iters):
             t0 = time.perf_counter()
-            if method == CADMM:
-                def one(q):
-                    return local_update_cadmm(
-                        operators[q], mu_ahy[q], x_global,
-                        dual[q * n:(q + 1) * n], cfg)
-            else:
+            if method == SADMM:
                 x_bar_prev = _sum_ascending(list(local))
 
-                def one(q):
-                    return local_update_sadmm(
+            def one(q):
+                if method == CADMM:
+                    x_q = local_update_cadmm(
+                        operators[q], mu_ahy[q], x_global,
+                        dual[q * n:(q + 1) * n], cfg)
+                else:
+                    x_q = local_update_sadmm(
                         operators[q], mu_ahy[q], x_global,
                         x_bar_prev, local[q], dual, cfg)
-            if pool is not None:
-                new_local = list(pool.map(one, range(q_count)))
-            else:
-                new_local = [one(q) for q in range(q_count)]
+                r = measurements[q] - operators[q].apply(x_q)  # data-fit term
+                return x_q, (cfg.mu / 2) * float(np.vdot(r, r).real)
+
+            new_local, fits = zip(*_map_clusters(pool, one, q_count))
             local = np.stack(new_local)
             if method == CADMM:
                 x_global_new = global_update_cadmm(local, dual, cfg)
@@ -282,19 +299,19 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
                                 residual_log=state.residual_log)
             primal, dual_res, eps_pri, eps_dual = residuals_and_tolerances(
                 method, x_global_prev, state, cfg)
+            objective = 0.0
+            for fit in fits:  # left to right; sum() compensates from Python 3.12
+                objective += fit
+            objective_history.append(
+                objective + cfg.lam * float(np.sum(np.abs(x_global))))
             wall_ms = (time.perf_counter() - t0) * 1e3
             state.residual_log.append(IterationRecord(
                 k + 1, primal, dual_res, eps_pri, eps_dual, wall_ms))
-            objective_history.append(
-                _objective(operators, measurements, local, x_global, cfg))
             if on_iteration is not None:
                 on_iteration(state)
             if primal <= eps_pri and dual_res <= eps_dual:
                 termination = "converged"
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return ReconstructionResult(state, termination, objective_history)
 
 
@@ -312,27 +329,33 @@ def _power_iteration_sq_norm(op, iters=30):
     return float(lam)
 
 
-def composite_baseline(operators, measurements, lambda_c, max_iters=500, tol=1e-8):
+def composite_baseline(operators, measurements, lambda_c, max_iters=500, tol=1e-8,
+                       threads=1):
     """Per-cluster sparse reconstruction fused by pixel-wise maximum.
 
     Each cluster solves min ||y_q - A_q x||^2 + lambda_c*||x||_1 over
-    nonnegative real x with FISTA; the fused image is the element-wise
-    maximum across clusters.
+    nonnegative real x with FISTA, one task per cluster on a thread pool
+    when threads > 1; the fused image is the element-wise maximum across
+    clusters, taken in ascending q.
     """
     if len(operators) == 0:
         raise ValueError("need at least one cluster")
     if len(operators) != len(measurements):
         raise ValueError("need exactly one measurement vector per operator")
-    images = []
-    for op, y in zip(operators, measurements):
+
+    def solve(q):
+        op = operators[q]
         lipschitz = 2.0 * _power_iteration_sq_norm(op) * 1.05
-        ahy = op.adjoint(y)
+        ahy = op.adjoint(measurements[q])
 
         def grad(x):
             return 2.0 * (op.normal_apply(x.astype(complex)) - ahy).real
 
-        images.append(accelerated_prox_gradient(
-            grad, lipschitz, lambda_c, op.grid.n_pixels, max_iters, tol))
+        return accelerated_prox_gradient(
+            grad, lipschitz, lambda_c, op.grid.n_pixels, max_iters, tol)
+
+    with _thread_pool(threads) as pool:
+        images = _map_clusters(pool, solve, len(operators))
     fused = images[0]
     for img in images[1:]:
         fused = np.maximum(fused, img)

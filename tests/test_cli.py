@@ -252,6 +252,128 @@ def test_reconstruct_deterministic_and_thread_invariant(bundle, tmp_path):
     b = cmd_reconstruct(bundle, "cadmm", tmp_path / "b", threads=2)
     for name in ("image.csv", "image.pgm", "convergence.csv", "report.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+    a = cmd_reconstruct(bundle, "composite", tmp_path / "ca", threads=1)
+    b = cmd_reconstruct(bundle, "composite", tmp_path / "cb", threads=2)
+    assert (a / "image.csv").read_bytes() == (b / "image.csv").read_bytes()
+
+
+def test_failed_factorisation_exits_3(bundle, tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError; it must not read as a config error
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(bundle), "--method", "cadmm",
+                 "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_export_leaves_no_bundle(bundle, tmp_path, capsys, monkeypatch):
+    def full_disk(*_args, **_kwargs):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli.metrics, "export_image", full_disk)
+    parent = tmp_path / "results"
+    parent.mkdir()
+    assert main(["reconstruct", "--config", str(bundle), "--method", "bp",
+                 "--out", str(parent / "out")]) == 4
+    assert "I/O error" in capsys.readouterr().err
+    assert list(parent.iterdir()) == []
+
+
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_reconstruct_replaces_existing_bundle_only_when_complete(
+        bundle, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cmd_reconstruct(bundle, "bp", out)
+    (out / "report.txt").write_text("old run\n")
+    before = _snapshot(out)
+    real_export = cli.metrics.export_image
+
+    def full_disk(*_args, **_kwargs):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli.metrics, "export_image", full_disk)
+    with pytest.raises(OSError):
+        cmd_reconstruct(bundle, "bp", out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "exp.ini",
+                                                          "out"]
+    assert _snapshot(out) == before
+    monkeypatch.setattr(cli.metrics, "export_image", real_export)
+    cmd_reconstruct(bundle, "bp", out)
+    assert (out / "report.txt").read_text() != "old run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "exp.ini",
+                                                          "out"]
+
+
+def test_reconstruct_failed_swap_restores_old_bundle(bundle, tmp_path,
+                                                     monkeypatch):
+    out = tmp_path / "out"
+    cmd_reconstruct(bundle, "bp", out)
+    before = _snapshot(out)
+    real_rename = Path.rename
+
+    def rename(self, target):
+        if ".partial-" in self.name:
+            raise OSError("rename failed")
+        return real_rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", rename)
+    with pytest.raises(OSError, match="rename failed"):
+        cmd_reconstruct(bundle, "bp", out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "exp.ini",
+                                                          "out"]
+    assert _snapshot(out) == before
+
+
+@pytest.mark.parametrize("target", ["scenario", "foreign", "subdir", "file",
+                                    "cwd"])
+def test_reconstruct_refuses_to_replace_other_directories(
+        bundle, tmp_path, capsys, monkeypatch, target):
+    # replacing --out deletes it, so only an earlier result bundle or an
+    # empty directory may be replaced, and the refusal comes before the solve
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(cli.solvers, "run", no_solve)
+    out = {"scenario": bundle, "cwd": Path(".")}.get(target, tmp_path / "out")
+    if target == "foreign":
+        out.mkdir()
+        (out / "manifest.txt").write_text("mine\n")
+        (out / "notes.txt").write_text("keep me\n")
+    elif target == "subdir":
+        (out / "image.csv").mkdir(parents=True)
+        (out / "manifest.txt").write_text("mine\n")
+    elif target == "file":
+        out.write_text("keep me\n")
+    elif target == "cwd":
+        monkeypatch.chdir(tmp_path)
+    tree = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    data = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(["reconstruct", "--config", str(bundle), "--method", "cadmm",
+                 "--out", str(out)]) == 2
+    assert "refusing to replace" in capsys.readouterr().err
+    assert sorted(str(p.relative_to(tmp_path))
+                  for p in tmp_path.rglob("*")) == tree
+    assert all(p.read_bytes() == b for p, b in data.items())
+
+
+def test_reconstruct_relative_out_into_empty_directory(bundle, tmp_path,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("out").mkdir()
+    assert main(["reconstruct", "--config", str(bundle), "--method", "bp",
+                 "--out", "out"]) == 0
+    assert (tmp_path / "out" / "image.csv").exists()
+    assert main(["reconstruct", "--config", str(bundle), "--method", "bp",
+                 "--out", "sub/../out"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "exp.ini",
+                                                          "out"]
 
 
 def _reconstruct_with_blas_threads(bundle, out, blas_threads):

@@ -1,4 +1,7 @@
 import math
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -173,6 +176,37 @@ def test_solve_matrix_shared_across_refolds(small_grid, small_geometry):
     again = op.solve_matrix(0.7, 2.3)
     assert again is not other
     np.testing.assert_array_equal(again, first)
+
+
+def test_solve_matrix_built_once_under_concurrent_calls(
+        small_grid, small_geometry, monkeypatch):
+    # solvers.run builds solve matrices from its thread pool; refolds share
+    # one cache, so concurrent first calls must not each build (and store)
+    # their own inverse
+    real_inv = np.linalg.inv
+    builds = []
+
+    def slow_inv(a):
+        builds.append(1)
+        time.sleep(0.01)  # widen the check-then-build window
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", slow_inv)
+    op = make_operator(small_grid, small_geometry)
+    refolds = [op.with_phase_matrix(np.exp(1j * np.full(16, 0.1 * k)))
+               for k in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(r.solve_matrix, 0.7, 2.3) for r in refolds]
+            done, pending = wait(futures, timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not pending
+    results = [f.result() for f in futures]
+    assert len(builds) == 1
+    assert all(m is results[0] for m in results)
 
 
 def test_estimate_phase_matrix_zero_measurements(small_grid, small_geometry):

@@ -89,6 +89,20 @@ def test_solve_matrix_inverts_dense_gram(case, mu, beta):
 
 @PROPERTY
 @given(cases(), st.floats(0.5, 2.0), st.floats(0.5, 5.0))
+def test_row_gram_is_real_and_solve_matrix_symmetric(case, mu, beta):
+    # pixel centres symmetric about 0 make K K^H real, which is what lets
+    # solve_matrix build and invert it in float64
+    grid, geometry, _ = case
+    dense = dense_operator_matrix(grid, geometry)
+    gram = dense @ dense.conj().T
+    assert np.max(np.abs(gram.imag)) <= 1e-13 * np.max(np.abs(gram))
+    m = make_operator(grid, geometry).solve_matrix(mu, beta)
+    assert m.dtype == np.float64
+    assert np.max(np.abs(m - m.T)) <= 1e-13 * np.max(np.abs(m))
+
+
+@PROPERTY
+@given(cases(), st.floats(0.5, 2.0), st.floats(0.5, 5.0))
 def test_local_solve_matches_dense(case, mu, beta):
     grid, geometry, rng = case
     theta = _phase(rng, grid.n_pixels)
