@@ -11,73 +11,39 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 import argparse
 import configparser
 import csv
+import inspect
+import io
 import math
 import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, model, orchestrate, simulate, solvers
+from . import __version__, metrics, model, simulate, solvers
 
 DEG = math.pi / 180.0
+METHODS = (solvers.CADMM, solvers.SADMM, "bp", "composite")
 
 
 class ConfigError(ValueError):
     pass
 
 
-_SECTION_KEYS = {
-    "scene": {"nx", "ny", "extent_x", "extent_y", "plane_height", "seed",
-              "scatterers", "num_scatterers", "amplitude", "random_phase",
-              "visibility_width_deg", "margin"},
-    "sensing": {"q_count", "cluster_width_deg", "apcs_per_cluster",
-                "freq_center_hz", "bandwidth_hz", "freq_count",
-                "elevation_deg", "snr_db"},
-    "solver": {"mu", "lambda", "beta", "eps_abs", "eps_rel",
-               "max_outer_iters"},
-    "metrics": {"dynamic_range_db", "gray_levels", "sparsity_threshold",
-                "f1_threshold", "match_radius_px", "sparsity_window_min",
-                "sparsity_window_max"},
-    "output": {"directory", "formats"},
-}
-
-
-@dataclass
-class ExperimentConfig:
-    grid: model.SceneGrid
-    seed: int
-    scatterer_spec: dict  # explicit list or random-scene parameters
-    sensing: dict
-    solver: solvers.SolverConfig
-    entropy_cfg: metrics.EntropyConfig
-    sparsity_threshold: float
-    f1_threshold: float
-    match_radius_px: int
-    sparsity_window: tuple
-    out_dir: str
-    formats: list
-    raw_text: str
-
-
-def _get(section, key, cast, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key '{key}'")
-        return default
-    try:
-        return cast(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for '{key}': {exc}") from exc
-
-
 def _parse_snr(text):
     if text.strip().lower() in ("inf", "+inf", "none", "noiseless"):
         return math.inf
     return float(text)
+
+
+def _parse_bool(text):
+    value = text.strip().lower()
+    if value not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return value == "true"
 
 
 def _parse_scatterer_lines(text):
@@ -94,6 +60,97 @@ def _parse_scatterer_lines(text):
     return scatterers
 
 
+def _keyword_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+_REQUIRED = object()  # the default of a key that must be set
+_ENTROPY = fields(metrics.EntropyConfig)
+_SCENARIO = {f.name: f.default for f in fields(simulate.SimScenario)}
+
+# every config key, as section -> key -> (parser, default); defaults that
+# the program declares elsewhere are read from there: SimScenario,
+# SolverConfig (whose fields the [solver] keys are, with lambda for lam),
+# EntropyConfig and the keyword defaults of the metrics functions
+_KEYS = {
+    "scene": {
+        "nx": (int, _REQUIRED), "ny": (int, _REQUIRED),
+        "extent_x": (float, _REQUIRED), "extent_y": (float, _REQUIRED),
+        "seed": (int, _SCENARIO["seed"]),
+        # an explicit scatterer list, or num_scatterers random ones
+        "scatterers": (_parse_scatterer_lines, None),
+        "num_scatterers": (int, None), "amplitude": (float, 1.0),
+        "random_phase": (_parse_bool, False),
+        "visibility_width_deg": (float, 360.0), "margin": (float, 0.1)},
+    "sensing": {
+        "q_count": (int, _REQUIRED), "cluster_width_deg": (float, _REQUIRED),
+        "apcs_per_cluster": (int, _REQUIRED),
+        "freq_center_hz": (float, _REQUIRED),
+        "bandwidth_hz": (float, _REQUIRED), "freq_count": (int, _REQUIRED),
+        "elevation_deg": (float, 30.0),
+        "snr_db": (_parse_snr, _SCENARIO["snr_db"])},
+    "solver": {("lambda" if f.name == "lam" else f.name): (f.type, f.default)
+               for f in fields(solvers.SolverConfig)},
+    "metrics": {
+        **{f.name: (f.type, f.default) for f in _ENTROPY},
+        "sparsity_threshold": (float, _keyword_default(
+            metrics.normalized_sparsity, "rel_threshold")),
+        "f1_threshold": (float, _keyword_default(metrics.support_f1,
+                                                 "rel_threshold")),
+        "match_radius_px": (int, _keyword_default(metrics.support_f1,
+                                                  "match_radius_px")),
+        "sparsity_window_min": (float, 0.0),
+        "sparsity_window_max": (float, 1.0)},
+    "output": {"directory": (str, "out")},
+}
+
+
+def _read_section(parser, name):
+    """Every key of section `name`, parsed, or its default when unset."""
+    section = parser[name] if parser.has_section(name) else {}
+    values = {}
+    for key, (parse, default) in _KEYS[name].items():
+        if key not in section and default is _REQUIRED:
+            raise ConfigError(f"missing required key '{key}'")
+        try:
+            values[key] = parse(section[key]) if key in section else default
+        except ValueError as exc:
+            raise ConfigError(f"bad value for '{key}': {exc}") from exc
+    return values
+
+
+@dataclass
+class MetricsConfig:
+    """The [metrics] section: how images are scored and sweeps picked."""
+    entropy_cfg: metrics.EntropyConfig
+    sparsity_threshold: float
+    f1_threshold: float
+    match_radius_px: int
+    sparsity_window: tuple
+
+    @classmethod
+    def from_parser(cls, parser):
+        m = _read_section(parser, "metrics")
+        entropy_cfg = metrics.EntropyConfig(
+            **{f.name: m[f.name] for f in _ENTROPY})
+        return cls(entropy_cfg, m["sparsity_threshold"], m["f1_threshold"],
+                   m["match_radius_px"],
+                   (m["sparsity_window_min"], m["sparsity_window_max"]))
+
+
+@dataclass
+class ExperimentConfig(MetricsConfig):
+    """A parsed config: its [metrics] values plus the other sections; scene
+    and sensing hold their sections' values as the config names them."""
+    grid: model.SceneGrid
+    seed: int
+    scene: dict
+    sensing: dict
+    solver: solvers.SolverConfig
+    out_dir: str
+    raw_text: str
+
+
 def load_config(path):
     """Parse and validate an experiment config file."""
     path = Path(path)
@@ -107,9 +164,9 @@ def load_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = set(parser[section]) - _SECTION_KEYS[section]
+        unknown = set(parser[section]) - set(_KEYS[section])
         if unknown:
             raise ConfigError(
                 f"{path}: unknown key(s) in [{section}]: {sorted(unknown)}")
@@ -117,99 +174,48 @@ def load_config(path):
         if required not in parser:
             raise ConfigError(f"{path}: missing section [{required}]")
     try:
-        scene = parser["scene"]
-        grid = model.SceneGrid(
-            nx=_get(scene, "nx", int, required=True),
-            ny=_get(scene, "ny", int, required=True),
-            extent_x=_get(scene, "extent_x", float, required=True),
-            extent_y=_get(scene, "extent_y", float, required=True),
-            plane_height=_get(scene, "plane_height", float, 0.0),
-        )
-        seed = _get(scene, "seed", int, 0)
-        if "scatterers" in scene:
-            spec = {"explicit": _parse_scatterer_lines(scene["scatterers"])}
-        else:
-            spec = {
-                "num": _get(scene, "num_scatterers", int, required=True),
-                "amplitude": _get(scene, "amplitude", float, 1.0),
-                "random_phase": _get(scene, "random_phase",
-                                     lambda s: s.lower() == "true", False),
-                "visibility_width": _get(scene, "visibility_width_deg",
-                                         float, 360.0) * DEG,
-                "margin": _get(scene, "margin", float, 0.1),
-            }
-        sensing_sec = parser["sensing"]
-        sensing = {
-            "q_count": _get(sensing_sec, "q_count", int, required=True),
-            "cluster_width": _get(sensing_sec, "cluster_width_deg", float,
-                                  required=True) * DEG,
-            "apcs_per_cluster": _get(sensing_sec, "apcs_per_cluster", int,
-                                     required=True),
-            "freq_center": _get(sensing_sec, "freq_center_hz", float,
-                                required=True),
-            "bandwidth": _get(sensing_sec, "bandwidth_hz", float, required=True),
-            "freq_count": _get(sensing_sec, "freq_count", int, required=True),
-            "elevation": _get(sensing_sec, "elevation_deg", float, 30.0) * DEG,
-            "snr_db": _get(sensing_sec, "snr_db", _parse_snr, math.inf),
-        }
-        solver_sec = parser["solver"] if "solver" in parser else {}
-        solver_cfg = solvers.SolverConfig(
-            mu=_get(solver_sec, "mu", float, 1.0),
-            lam=_get(solver_sec, "lambda", float, 1.0),
-            beta=_get(solver_sec, "beta", float, 1.0),
-            eps_abs=_get(solver_sec, "eps_abs", float, 1e-2),
-            eps_rel=_get(solver_sec, "eps_rel", float, 1e-2),
-            max_outer_iters=_get(solver_sec, "max_outer_iters", int, 100),
-        )
-        metrics_sec = parser["metrics"] if "metrics" in parser else {}
-        entropy_cfg = metrics.EntropyConfig(
-            dynamic_range_db=_get(metrics_sec, "dynamic_range_db", float, 50.0),
-            gray_levels=_get(metrics_sec, "gray_levels", int, 256),
-        )
-        sparsity_threshold = _get(metrics_sec, "sparsity_threshold", float, 1e-3)
-        f1_threshold = _get(metrics_sec, "f1_threshold", float, 0.1)
-        match_radius = _get(metrics_sec, "match_radius_px", int, 1)
-        window = (_get(metrics_sec, "sparsity_window_min", float, 0.0),
-                  _get(metrics_sec, "sparsity_window_max", float, 1.0))
-        output_sec = parser["output"] if "output" in parser else {}
-        out_dir = _get(output_sec, "directory", str, "out")
-        formats = [f.strip() for f in
-                   _get(output_sec, "formats", str, "pgm,csv").split(",")]
+        scene = _read_section(parser, "scene")
+        if scene["scatterers"] is None and scene["num_scatterers"] is None:
+            raise ConfigError("missing required key 'num_scatterers'")
+        solver = _read_section(parser, "solver")
+        scoring = MetricsConfig.from_parser(parser)
+        return ExperimentConfig(
+            **vars(scoring),
+            grid=model.SceneGrid(scene["nx"], scene["ny"], scene["extent_x"],
+                                 scene["extent_y"]),
+            seed=scene.pop("seed"), scene=scene,
+            sensing=_read_section(parser, "sensing"),
+            solver=solvers.SolverConfig(lam=solver.pop("lambda"), **solver),
+            out_dir=_read_section(parser, "output")["directory"],
+            raw_text=raw_text)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return ExperimentConfig(grid, seed, spec, sensing, solver_cfg, entropy_cfg,
-                            sparsity_threshold, f1_threshold, match_radius,
-                            window, out_dir, formats, raw_text)
 
 
 def build_scenario(cfg):
     """Materialize the SimScenario described by a parsed config."""
+    sensing, scene = cfg.sensing, cfg.scene
     clusters = simulate.make_uniform_clusters(
-        cfg.sensing["q_count"], cfg.sensing["cluster_width"],
-        cfg.sensing["apcs_per_cluster"], cfg.sensing["elevation"],
-        cfg.sensing["freq_center"], cfg.sensing["bandwidth"],
-        cfg.sensing["freq_count"])
-    if "explicit" in cfg.scatterer_spec:
-        scatterers = cfg.scatterer_spec["explicit"]
-    else:
-        spec = cfg.scatterer_spec
+        sensing["q_count"], sensing["cluster_width_deg"] * DEG,
+        sensing["apcs_per_cluster"], sensing["elevation_deg"] * DEG,
+        sensing["freq_center_hz"], sensing["bandwidth_hz"],
+        sensing["freq_count"])
+    scatterers = scene["scatterers"]
+    if scatterers is None:
         rng = simulate.scene_rng(cfg.seed)
-        hx = cfg.grid.extent_x / 2 * (1 - spec["margin"])
-        hy = cfg.grid.extent_y / 2 * (1 - spec["margin"])
+        hx = cfg.grid.extent_x / 2 * (1 - scene["margin"])
+        hy = cfg.grid.extent_y / 2 * (1 - scene["margin"])
         scatterers = []
-        for _ in range(spec["num"]):
+        for _ in range(scene["num_scatterers"]):
             x = rng.uniform(-hx, hx)
             y = rng.uniform(-hy, hy)
-            phase = rng.uniform(0, 2 * math.pi) if spec["random_phase"] else 0.0
+            phase = rng.uniform(0, 2 * math.pi) if scene["random_phase"] else 0.0
             center = rng.uniform(0, 2 * math.pi)
             scatterers.append(simulate.Scatterer(
-                (x, y), spec["amplitude"], phase, center,
-                spec["visibility_width"]))
-    try:
-        return simulate.SimScenario(cfg.grid, clusters, scatterers,
-                                    cfg.sensing["snr_db"], cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+                (x, y), scene["amplitude"], phase, center,
+                scene["visibility_width_deg"] * DEG))
+    return simulate.SimScenario(cfg.grid, clusters, scatterers,
+                                sensing["snr_db"], cfg.seed)
 
 
 def _write_complex_csv(path, vec):
@@ -223,7 +229,7 @@ def _write_complex_csv(path, vec):
 def _read_complex_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["index", "real", "imag"]:
             raise ConfigError(f"{path}: unexpected header {header}")
         try:
@@ -251,8 +257,7 @@ def cmd_simulate(config_path, out_dir=None, seed=None):
     with open(out / "truth_support.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pixel_index"])
-        for idx in sorted(truth_support):
-            writer.writerow([idx])
+        writer.writerows([idx] for idx in sorted(truth_support))
     if seed is None:
         config_text = cfg.raw_text
     else:
@@ -260,7 +265,6 @@ def cmd_simulate(config_path, out_dir=None, seed=None):
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         parser.read_string(cfg.raw_text)
         parser["scene"]["seed"] = str(seed)
-        import io
         buf = io.StringIO()
         parser.write(buf)
         config_text = buf.getvalue()
@@ -301,13 +305,21 @@ def load_bundle(bundle_path):
             raise solvers.NumericalError(f"{path}: non-finite sample")
         measurements.append(y)
     truth_path = bundle / "truth_support.csv"
-    truth_support = []
-    if truth_path.exists():
-        with open(truth_path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            truth_support = [int(row[0]) for row in reader]
+    truth_support = (_read_truth_support(truth_path) if truth_path.exists()
+                     else [])
     return cfg, operators, measurements, truth_support
+
+
+def _read_truth_support(path):
+    """Pixel indices of a truth_support.csv, as cmd_simulate writes it."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if rows[:1] != [["pixel_index"]]:
+        raise ConfigError(f"{path}: no 'pixel_index' header")
+    try:
+        return [int(row[0]) for row in rows[1:]]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed row: {exc}") from exc
 
 
 def _fold_phase_matrices(operators, measurements):
@@ -315,38 +327,56 @@ def _fold_phase_matrices(operators, measurements):
             for op, y in zip(operators, measurements)]
 
 
+def score_image(image, nx, scoring, truth_support=None):
+    """Entropy and sparsity of a flat image of row length nx, plus support
+    precision, recall and F1 given a truth support, in report.txt order;
+    scoring is a MetricsConfig (an ExperimentConfig is one)."""
+    scores = {
+        "entropy_bits": metrics.image_entropy(image, scoring.entropy_cfg),
+        "sparsity": metrics.normalized_sparsity(image,
+                                                scoring.sparsity_threshold),
+    }
+    if truth_support is not None:
+        scores.update(zip(("precision", "recall", "f1"), metrics.support_f1(
+            image, truth_support, nx, scoring.f1_threshold,
+            scoring.match_radius_px)))
+    return scores
+
+
+def _with_overrides(solver_cfg, beta=None, ratio=None, max_iters=None):
+    """solver_cfg with the given overrides; SolverConfig validates them."""
+    changes = {"beta": beta, "max_outer_iters": max_iters,
+               "lam": None if ratio is None else ratio * solver_cfg.mu}
+    return replace(solver_cfg, **{key: value for key, value in changes.items()
+                                  if value is not None})
+
+
 def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
                     max_iters=None, threads=1):
     """Run one reconstruction method on a bundle and write a result bundle."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     out = Path(os.path.abspath(out_dir if out_dir is not None else
                                Path(bundle_path) / f"recon_{method}"))
     _check_replaceable(out)
     cfg, operators, measurements, truth_support = load_bundle(bundle_path)
-    solver_cfg = cfg.solver
-    if beta is not None:
-        solver_cfg.beta = beta
-    if ratio is not None:
-        solver_cfg.lam = ratio * solver_cfg.mu
-    if max_iters is not None:
-        solver_cfg.max_outer_iters = max_iters
+    solver_cfg = _with_overrides(cfg.solver, beta, ratio, max_iters)
     t_start = time.perf_counter()
     result = None
-    if method in (solvers.CADMM, solvers.SADMM):
-        folded = _fold_phase_matrices(operators, measurements)
-        result = solvers.run(method, folded, measurements, solver_cfg,
-                             threads=threads)
-        image = result.state.global_image
-        termination = result.termination
-    elif method == "bp":
+    if method == "bp":
         image = model.backprojection_image(operators, measurements)
-        termination = "n/a"
-    elif method == "composite":
-        folded = _fold_phase_matrices(operators, measurements)
-        image = solvers.composite_baseline(folded, measurements, solver_cfg.lam,
-                                           max_iters=1000, threads=threads)
-        termination = "n/a"
     else:
-        raise ConfigError(f"unknown method {method!r}")
+        folded = _fold_phase_matrices(operators, measurements)
+        if method == "composite":
+            image = solvers.composite_baseline(folded, measurements,
+                                               solver_cfg.lam, max_iters=1000,
+                                               threads=threads)
+        else:
+            result = solvers.run(method, folded, measurements, solver_cfg,
+                                 threads=threads)
+            image = result.state.global_image
     wall_s = time.perf_counter() - t_start
     # the bundle is written into a temporary sibling and renamed into place
     # once complete, so a failed solve or export leaves neither a partial
@@ -357,7 +387,7 @@ def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
     tmp.mkdir()
     try:
         _write_result(tmp, bundle_path, method, cfg, solver_cfg, image,
-                      termination, result, truth_support, wall_s)
+                      result, truth_support, wall_s)
         _check_replaceable(out)  # again: it may have appeared since
         if out.exists():
             old = out.with_name(f".{out.name}.old-{os.getpid()}")
@@ -401,13 +431,11 @@ def _check_replaceable(out):
                           "are not part of a result bundle")
 
 
-def _write_result(out, bundle_path, method, cfg, solver_cfg, image,
-                  termination, result, truth_support, wall_s):
-    if "csv" in cfg.formats:
-        metrics.export_image(image, cfg.grid, out / "image.csv", "csv")
-    if "pgm" in cfg.formats:
-        metrics.export_image(image, cfg.grid, out / "image.pgm", "pgm",
-                             cfg.entropy_cfg)
+def _write_result(out, bundle_path, method, cfg, solver_cfg, image, result,
+                  truth_support, wall_s):
+    metrics.export_image(image, cfg.grid, out / "image.csv", "csv")
+    metrics.export_image(image, cfg.grid, out / "image.pgm", "pgm",
+                         cfg.entropy_cfg)
     # wall times live in timing files so convergence.csv, report.txt, and
     # the images are run-to-run reproducible byte for byte
     (out / "wall_s.txt").write_text(f"{wall_s:.3f}\n")
@@ -426,21 +454,13 @@ def _write_result(out, bundle_path, method, cfg, solver_cfg, image,
             writer.writerow(["iter", "wall_ms"])
             for rec in result.state.residual_log:
                 writer.writerow([rec.iteration, f"{rec.wall_ms:.3f}"])
-    entropy = metrics.image_entropy(image, cfg.entropy_cfg)
-    sparsity = metrics.normalized_sparsity(image, cfg.sparsity_threshold)
+    # a bundle without truth pixels is scored without F1
+    scores = score_image(image, cfg.grid.nx, cfg, truth_support or None)
     report = [
         f"method: {method}",
-        f"termination: {termination}",
+        f"termination: {result.termination if result is not None else 'n/a'}",
         f"iterations: {result.state.iter if result is not None else 0}",
-        f"entropy_bits: {entropy:.6f}",
-        f"sparsity: {sparsity:.6f}",
-    ]
-    if truth_support:
-        precision, recall, f1 = metrics.support_f1(
-            image, truth_support, cfg.grid.nx, cfg.f1_threshold,
-            cfg.match_radius_px)
-        report += [f"precision: {precision:.6f}", f"recall: {recall:.6f}",
-                   f"f1: {f1:.6f}"]
+    ] + [f"{key}: {value:.6f}" for key, value in scores.items()]
     (out / "report.txt").write_text("\n".join(report) + "\n")
     manifest = [
         f"distradar_version: {__version__}",
@@ -465,28 +485,27 @@ def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_path=None):
     if not beta_list or not ratio_list:
         raise ConfigError("sweep requires non-empty beta and ratio lists")
     cfg, operators, measurements, _ = load_bundle(bundle_path)
+    # every point is validated before the first solve
+    points = [(beta, ratio, _with_overrides(cfg.solver, beta, ratio))
+              for beta in beta_list for ratio in ratio_list]
     folded = _fold_phase_matrices(operators, measurements)
     out_path = Path(out_path if out_path is not None else
                     Path(bundle_path) / f"sweep_{method}.csv")
     rows = []
-    for beta in beta_list:
-        for ratio in ratio_list:
-            solver_cfg = replace(cfg.solver, beta=beta,
-                                 lam=ratio * cfg.solver.mu)
-            t0 = time.perf_counter()
-            result = solvers.run(method, folded, measurements, solver_cfg)
-            wall_s = time.perf_counter() - t0
-            image = result.state.global_image
-            rows.append({
-                "beta": beta,
-                "ratio": ratio,
-                "sparsity": metrics.normalized_sparsity(
-                    image, cfg.sparsity_threshold),
-                "entropy": metrics.image_entropy(image, cfg.entropy_cfg),
-                "iterations": result.state.iter,
-                "termination": result.termination,
-                "wall_s": wall_s,
-            })
+    for beta, ratio, solver_cfg in points:
+        t0 = time.perf_counter()
+        result = solvers.run(method, folded, measurements, solver_cfg)
+        wall_s = time.perf_counter() - t0
+        scores = score_image(result.state.global_image, cfg.grid.nx, cfg)
+        rows.append({
+            "beta": beta,
+            "ratio": ratio,
+            "sparsity": scores["sparsity"],
+            "entropy": scores["entropy_bits"],
+            "iterations": result.state.iter,
+            "termination": result.termination,
+            "wall_s": wall_s,
+        })
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
@@ -506,37 +525,14 @@ def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_path=None):
 
 
 def cmd_metrics(image_path, config_path=None, truth_path=None):
-    """Print entropy/sparsity (and F1 when truth is given) for an image CSV."""
-    if config_path is not None:
-        cfg = load_config(config_path)
-        entropy_cfg = cfg.entropy_cfg
-        sparsity_threshold = cfg.sparsity_threshold
-        f1_threshold = cfg.f1_threshold
-        match_radius = cfg.match_radius_px
-    else:
-        entropy_cfg = metrics.EntropyConfig()
-        sparsity_threshold = 1e-3
-        f1_threshold = 0.1
-        match_radius = 1
-    with open(image_path, newline="") as fh:
-        first_row = next(csv.reader(fh))
-    nx = len(first_row)
-    image = metrics.load_image_csv(image_path)
-    report = {
-        "entropy_bits": f"{metrics.image_entropy(image, entropy_cfg):.6f}",
-        "sparsity": f"{metrics.normalized_sparsity(image, sparsity_threshold):.6f}",
-    }
-    if truth_path is not None:
-        with open(truth_path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            truth = [int(row[0]) for row in reader]
-        precision, recall, f1 = metrics.support_f1(
-            image, truth, nx, f1_threshold, match_radius)
-        report["precision"] = f"{precision:.6f}"
-        report["recall"] = f"{recall:.6f}"
-        report["f1"] = f"{f1:.6f}"
-    return report
+    """Score an image CSV with the [metrics] values of a config (defaults
+    without one), against a truth_support.csv when one is given."""
+    scoring = (load_config(config_path) if config_path is not None else
+               MetricsConfig.from_parser(configparser.ConfigParser()))
+    raster = metrics.load_image_csv(image_path)
+    truth = None if truth_path is None else _read_truth_support(truth_path)
+    scores = score_image(raster.ravel(), raster.shape[1], scoring, truth)
+    return {key: f"{value:.6f}" for key, value in scores.items()}
 
 
 def _float_list(text):
@@ -557,18 +553,19 @@ def build_parser():
     p = sub.add_parser("reconstruct", help="run a reconstruction method")
     p.add_argument("--config", dest="bundle", required=True,
                    help="scenario bundle directory")
-    p.add_argument("--method", required=True,
-                   choices=["cadmm", "sadmm", "bp", "composite"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--out", default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--ratio", type=float, default=None,
                    help="lambda/mu override")
     p.add_argument("--max-iters", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int,
+                   default=_keyword_default(cmd_reconstruct, "threads"))
 
     p = sub.add_parser("sweep", help="hyperparameter sweep")
     p.add_argument("--config", dest="bundle", required=True)
-    p.add_argument("--method", required=True, choices=["cadmm", "sadmm"])
+    p.add_argument("--method", required=True, 
+                   choices=(solvers.CADMM, solvers.SADMM))
     p.add_argument("--beta", type=_float_list, required=True,
                    help="comma-separated beta values")
     p.add_argument("--ratio", type=_float_list, required=True,
@@ -601,14 +598,11 @@ def main(argv=None):
             for key, value in cmd_metrics(args.image, args.config,
                                           args.truth).items():
                 print(f"{key}: {value}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (solvers.NumericalError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it is caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

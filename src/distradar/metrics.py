@@ -157,15 +157,24 @@ def export_image(image, grid, path, fmt="pgm", entropy_cfg=EntropyConfig()):
         raise OSError(f"failed writing image to {path}: {exc}") from exc
 
 
-def load_image_csv(path, expected_pixels=None):
-    """Read an image CSV written by export_image back into a flat vector."""
+def load_image_csv(path):
+    """Read an image CSV written by export_image back as a (ny, nx) array.
+
+    Raises ValueError, naming the file, when it holds no rows, rows of
+    unequal length, a value that is not a number or a non-finite value.
+    """
     try:
         with open(path, newline="") as fh:
             rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
     except OSError as exc:
         raise OSError(f"failed reading image from {path}: {exc}") from exc
-    flat = np.array([v for row in rows for v in row])
-    if expected_pixels is not None and flat.size != expected_pixels:
-        raise ValueError(
-            f"{path}: expected {expected_pixels} pixels, found {flat.size}")
-    return flat
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: no pixel rows")
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError(f"{path}: rows of unequal length")
+    image = np.array(rows)
+    if not np.all(np.isfinite(image)):
+        raise ValueError(f"{path}: non-finite pixel value")
+    return image

@@ -27,15 +27,12 @@ class SceneGrid:
     Pixels are indexed row-major: flat index n = iy*nx + ix. Pixel centers
     are symmetric about the scene center, spanning
     [-extent/2 + delta/2, extent/2 - delta/2] along each axis.
-    plane_height is metadata only (image-plane elevation offset); it does
-    not enter the 2D imaging kernel.
     """
 
     nx: int
     ny: int
     extent_x: float
     extent_y: float
-    plane_height: float = 0.0
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:

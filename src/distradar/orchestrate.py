@@ -69,13 +69,11 @@ def memory_audit(method, n):
 
     persistent: state a cluster must keep across iterations (its local
     image; SADMM needs it to form x_bar - x_q). received: downlink
-    elements consumed per iteration.
+    elements consumed per iteration, every broadcast plus the cluster's own
+    unicast: the whole downlink of a one-cluster iteration_schedule.
     """
-    if method == CADMM:
-        return {"persistent": n, "received_per_iter": 2 * n}
-    if method == SADMM:
-        return {"persistent": n, "received_per_iter": 3 * n}
-    raise ValueError(f"unknown method {method!r}")
+    return {"persistent": n,
+            "received_per_iter": downlink_elements_per_iteration(method, 1, n)}
 
 
 def run_message_passing(method, operators, measurements, cfg):

@@ -45,8 +45,8 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("mu", "lam", "beta", "eps_abs", "eps_rel"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
 

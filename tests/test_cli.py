@@ -43,7 +43,6 @@ max_outer_iters = 15
 
 [output]
 directory = out
-formats = pgm,csv
 """
 
 
@@ -64,10 +63,9 @@ def test_load_config_values(config_file):
     assert cfg.grid.nx == 8 and cfg.grid.extent_x == 4.0
     assert cfg.seed == 5
     assert cfg.sensing["q_count"] == 2
-    assert cfg.sensing["elevation"] == pytest.approx(math.radians(25.0))
+    assert cfg.sensing["elevation_deg"] == 25.0
     assert cfg.solver.lam == 5.0
     assert cfg.solver.max_outer_iters == 15
-    assert cfg.formats == ["pgm", "csv"]
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -105,6 +103,19 @@ def test_load_config_bad_value(tmp_path):
     path.write_text(BASE_CONFIG.replace("nx = 8", "nx = eight"))
     with pytest.raises(ConfigError, match="bad value"):
         load_config(path)
+
+
+@pytest.mark.parametrize("text, value", [("True", True), ("false", False),
+                                         ("yes", None), ("1", None)])
+def test_load_config_random_phase_is_true_or_false(tmp_path, text, value):
+    path = tmp_path / "c.ini"
+    path.write_text(BASE_CONFIG.replace("margin = 0.2",
+                                        f"margin = 0.2\nrandom_phase = {text}"))
+    if value is None:  # anything but true or false is an error
+        with pytest.raises(ConfigError, match="random_phase"):
+            load_config(path)
+    else:
+        assert load_config(path).scene["random_phase"] is value
 
 
 def test_load_config_noiseless_snr(tmp_path):
@@ -206,8 +217,21 @@ def test_removed_solver_keys_rejected(tmp_path, capsys, key):
     assert key.split(" = ")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [("scene", "plane_height = 0.0"),
+                                          ("output", "formats = pgm,csv")])
+def test_removed_scene_and_output_keys_rejected(tmp_path, capsys, section,
+                                                key):
+    path = tmp_path / "old.ini"
+    path.write_text(BASE_CONFIG.replace(f"[{section}]\n",
+                                        f"[{section}]\n{key}\n"))
+    assert main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "b")]) == 2
+    assert key.split(" = ")[0] in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("corruption, code", [
     ("nan", 3),  # non-finite sample: numerical failure
+    ("empty", 2),  # no header, no rows
     ("short", 2),  # a row missing: wrong length
     ("cut_row", 2),  # file cut inside its last row
 ])
@@ -220,9 +244,11 @@ def test_reconstruct_bad_measurements_leave_no_output(bundle, tmp_path, capsys,
         lines[2] = "1,nan,0"
     elif corruption == "short":
         lines = lines[:-1]
+    elif corruption == "empty":
+        lines = []
     else:
         lines[-1] = lines[-1].rsplit(",", 1)[0]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(line + "\n" for line in lines))
     out = tmp_path / "out"
     assert main(["reconstruct", "--config", str(bundle), "--method", method,
                  "--out", str(out)]) == code
@@ -392,7 +418,7 @@ def _reconstruct_with_blas_threads(bundle, out, blas_threads):
 
 
 def test_reconstruct_across_blas_thread_counts(tmp_path):
-    # LAPACK factorisations (the local solve's eigh) differ in the last bits
+    # LAPACK factorisations (the local solve's inv) differ in the last bits
     # between BLAS thread counts once they are large enough to be threaded
     # (MW = 256 here), so this contract is a tolerance, not byte identity:
     # same iteration count and termination, images within 1e-9 relative
@@ -418,6 +444,36 @@ def test_reconstruct_overrides(bundle, tmp_path):
     assert "lambda: 3.0" in manifest
     lines = (out / "convergence.csv").read_text().splitlines()
     assert len(lines) <= 5
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--beta", "-1"), ("--beta", "0"), ("--beta", "nan"), ("--ratio", "0"),
+    ("--ratio", "-2"), ("--max-iters", "0"), ("--threads", "0"),
+    ("--threads", "-3")])
+def test_reconstruct_bad_override_exits_2_and_keeps_old_bundle(
+        bundle, tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    cmd_reconstruct(bundle, "bp", out)
+    data = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", str(bundle), "--method", "cadmm",
+                 "--out", str(out), flag, value]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert {p: p.read_bytes()
+            for p in tmp_path.rglob("*") if p.is_file()} == data
+
+
+def test_sweep_rejects_bad_point_before_solving(bundle, tmp_path, capsys,
+                                                monkeypatch):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("solved before validating every sweep point")
+
+    monkeypatch.setattr(cli.solvers, "run", no_solve)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(bundle), "--method", "cadmm",
+                 "--beta", "5,-1", "--ratio", "5", "--out", str(out)]) == 2
+    assert "beta" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reconstruct_unknown_method(bundle):
@@ -492,3 +548,30 @@ def test_main_metrics_prints_report(bundle, capsys):
                  "--truth", str(bundle / "truth_support.csv")]) == 0
     printed = capsys.readouterr().out
     assert "entropy_bits:" in printed and "f1:" in printed
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "no pixel rows"),
+    ("1,2,3\n4,5\n", "unequal length"),
+    ("1,2\nnan,0\n", "non-finite"),
+    ("1,inf\n0,1\n", "non-finite"),
+    ("1,x\n0,1\n", "could not convert"),
+], ids=["empty", "ragged", "nan", "inf", "not_a_number"])
+def test_metrics_bad_image_csv_exits_2(tmp_path, capsys, recwarn, text,
+                                       message):
+    path = tmp_path / "bad_image.csv"
+    path.write_text(text)
+    assert main(["metrics", "--image", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bad_image.csv" in err and message in err
+    assert not recwarn.list
+
+
+def test_metrics_bad_truth_file_exits_2(bundle, tmp_path, capsys):
+    out = cmd_reconstruct(bundle, "bp")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("")
+    capsys.readouterr()
+    assert main(["metrics", "--image", str(out / "image.csv"),
+                 "--truth", str(truth)]) == 2
+    assert "truth.csv" in capsys.readouterr().err
