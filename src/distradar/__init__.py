@@ -7,12 +7,13 @@ from .model import (ClusterGeometry, ForwardOperator, SceneGrid,
 from .simulate import (PhaseHistory, Scatterer, SimScenario,
                        make_uniform_clusters, rasterize_scene,
                        synthesize_measurements)
-from .solvers import (CADMM, SADMM, ReconstructionResult, SolverConfig,
-                      SolverState, composite_baseline, run)
+from .solvers import (CADMM, SADMM, CompositeResult, ReconstructionResult,
+                      SolverConfig, SolverState, composite_baseline, run)
 
 __all__ = [
-    "CADMM", "SADMM", "ClusterGeometry", "ForwardOperator", "PhaseHistory",
-    "ReconstructionResult", "Scatterer", "SceneGrid", "SimScenario",
+    "CADMM", "SADMM", "ClusterGeometry", "CompositeResult", "ForwardOperator",
+    "PhaseHistory", "ReconstructionResult", "Scatterer", "SceneGrid",
+    "SimScenario",
     "SolverConfig", "SolverState", "backprojection_image",
     "composite_baseline", "estimate_phase_matrix", "make_operator",
     "make_uniform_clusters", "rasterize_scene", "run",

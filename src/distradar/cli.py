@@ -15,6 +15,7 @@ import inspect
 import io
 import math
 import os
+import re
 import shutil
 import sys
 import time
@@ -240,24 +241,18 @@ def _read_complex_csv(path):
 
 
 def cmd_simulate(config_path, out_dir=None, seed=None):
-    """Write a scenario bundle: truth, measurements, manifest, config echo."""
+    """Write a scenario bundle: truth, measurements, manifest, config echo.
+
+    The bundle replaces --out as a whole (see _write_atomically), so a
+    directory that held another scenario keeps none of its files.
+    """
     cfg = load_config(config_path)
     if seed is not None:
         cfg.seed = seed
     scenario = build_scenario(cfg)
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(os.path.abspath(out_dir if out_dir is not None else cfg.out_dir))
+    _check_replaceable(out, _SCENARIO)
     histories = simulate.synthesize_measurements(scenario)
-    truth_support = set()
-    for q in range(len(scenario.clusters)):
-        truth = simulate.rasterize_scene(scenario, q)
-        truth_support.update(np.flatnonzero(truth).tolist())
-        _write_complex_csv(out / f"truth_q{q:02d}.csv", truth)
-        _write_complex_csv(out / f"meas_q{q:02d}.csv", histories[q].data)
-    with open(out / "truth_support.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pixel_index"])
-        writer.writerows([idx] for idx in sorted(truth_support))
     if seed is None:
         config_text = cfg.raw_text
     else:
@@ -268,7 +263,6 @@ def cmd_simulate(config_path, out_dir=None, seed=None):
         buf = io.StringIO()
         parser.write(buf)
         config_text = buf.getvalue()
-    (out / "config.ini").write_text(config_text)
     lines = [
         f"distradar_version: {__version__}",
         f"numpy_version: {np.__version__}",
@@ -280,7 +274,22 @@ def cmd_simulate(config_path, out_dir=None, seed=None):
     for h in histories:
         lines.append(f"cluster_{h.cluster_id:02d}_noise_norm: {h.noise_norm:.17g}")
         lines.append(f"cluster_{h.cluster_id:02d}_realized_snr_db: {h.snr_db}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+    def write(tmp):
+        truth_support = set()
+        for q in range(len(scenario.clusters)):
+            truth = simulate.rasterize_scene(scenario, q)
+            truth_support.update(np.flatnonzero(truth).tolist())
+            _write_complex_csv(tmp / f"truth_q{q:02d}.csv", truth)
+            _write_complex_csv(tmp / f"meas_q{q:02d}.csv", histories[q].data)
+        with open(tmp / "truth_support.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["pixel_index"])
+            writer.writerows([idx] for idx in sorted(truth_support))
+        (tmp / "config.ini").write_text(config_text)
+        (tmp / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+    _write_atomically(out, _SCENARIO, write)
     return out
 
 
@@ -360,35 +369,93 @@ def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
         raise ConfigError(f"threads must be >= 1, got {threads}")
     out = Path(os.path.abspath(out_dir if out_dir is not None else
                                Path(bundle_path) / f"recon_{method}"))
-    _check_replaceable(out)
+    _check_replaceable(out, _RESULT)
     cfg, operators, measurements, truth_support = load_bundle(bundle_path)
     solver_cfg = _with_overrides(cfg.solver, beta, ratio, max_iters)
     t_start = time.perf_counter()
     result = None
+    status = ("n/a", 0)  # report.txt's termination and iterations
     if method == "bp":
         image = model.backprojection_image(operators, measurements)
     else:
         folded = _fold_phase_matrices(operators, measurements)
         if method == "composite":
-            image = solvers.composite_baseline(folded, measurements,
-                                               solver_cfg.lam, max_iters=1000,
-                                               threads=threads)
+            composite = solvers.composite_baseline(
+                folded, measurements, solver_cfg.lam, threads=threads)
+            image = composite.image
+            status = (composite.termination, max(composite.iterations))
         else:
             result = solvers.run(method, folded, measurements, solver_cfg,
                                  threads=threads)
             image = result.state.global_image
+            status = (result.termination, result.state.iter)
     wall_s = time.perf_counter() - t_start
-    # the bundle is written into a temporary sibling and renamed into place
-    # once complete, so a failed solve or export leaves neither a partial
-    # bundle nor a half-replaced old one
+    _write_atomically(out, _RESULT, lambda tmp: _write_result(
+        tmp, bundle_path, method, cfg, solver_cfg, image, result, status,
+        truth_support, wall_s))
+    return out
+
+
+_RESULT = "result"
+_SCENARIO = "scenario"
+_RESULT_FILES = frozenset({"image.csv", "image.pgm", "wall_s.txt",
+                           "convergence.csv", "timing.csv", "report.txt",
+                           "manifest.txt"})
+# a scenario bundle's own files, and the sweep tables that sweep writes
+# into it by default
+_SCENARIO_FILE = re.compile(r"config\.ini|manifest\.txt|truth_support\.csv"
+                            r"|(truth|meas)_q\d{2,}\.csv"
+                            r"|sweep_(cadmm|sadmm)(\.csv|_best\.txt)")
+# the result bundles that reconstruct writes into it by default
+_RECON_DIRS = frozenset(f"recon_{method}" for method in METHODS)
+
+
+def _is_bundle(directory, kind):
+    """Whether `directory` holds exactly one bundle of `kind`: its
+    manifest plus only that kind's files (and, in a scenario bundle, the
+    result bundles and sweep tables written into it by default)."""
+    entries = list(directory.iterdir())
+    names = {p.name for p in entries}
+    if kind == _RESULT:
+        return ("manifest.txt" in names and names <= _RESULT_FILES
+                and all(p.is_file() for p in entries))
+    return {"config.ini", "manifest.txt"} <= names and all(
+        p.is_file() and _SCENARIO_FILE.fullmatch(p.name)
+        or p.name in _RECON_DIRS and not p.is_symlink() and p.is_dir()
+        and _is_bundle(p, _RESULT)
+        for p in entries)
+
+
+def _check_replaceable(out, kind):
+    """Raise ConfigError unless `out` (absolute) is absent, an empty
+    directory or an earlier bundle of `kind`, since replacing it deletes it."""
+    if not out.name:
+        raise ConfigError(f"--out {out} names no directory")
+    if not (out.exists() or out.is_symlink()):
+        return
+    cwd = Path.cwd()
+    if out.is_symlink() or not out.is_dir() or out == cwd or out in cwd.parents:
+        raise ConfigError(f"refusing to replace {out}: not a {kind} bundle "
+                          "directory")
+    if any(out.iterdir()) and not _is_bundle(out, kind):
+        raise ConfigError(f"refusing to replace {out}: it holds files that "
+                          f"are not part of a {kind} bundle")
+
+
+def _write_atomically(out, kind, write):
+    """Have write(tmp) fill a temporary sibling of `out` (absolute), then
+    rename it into place, replacing an earlier bundle of `kind` whole.
+
+    A failed write or rename leaves neither a partial bundle nor a
+    half-replaced old one, and the old bundle stays as it was.
+    """
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(f".{out.name}.partial-{os.getpid()}")
     shutil.rmtree(tmp, ignore_errors=True)
     tmp.mkdir()
     try:
-        _write_result(tmp, bundle_path, method, cfg, solver_cfg, image,
-                      result, truth_support, wall_s)
-        _check_replaceable(out)  # again: it may have appeared since
+        write(tmp)
+        _check_replaceable(out, kind)  # again: it may have appeared since
         if out.exists():
             old = out.with_name(f".{out.name}.old-{os.getpid()}")
             shutil.rmtree(old, ignore_errors=True)
@@ -404,35 +471,10 @@ def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
             tmp.rename(out)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    return out
-
-
-_RESULT_FILES = frozenset({"image.csv", "image.pgm", "wall_s.txt",
-                           "convergence.csv", "timing.csv", "report.txt",
-                           "manifest.txt"})
-
-
-def _check_replaceable(out):
-    """Raise ConfigError unless `out` (absolute) is absent, an empty
-    directory or an earlier result bundle, since replacing it deletes it."""
-    if not out.name:
-        raise ConfigError(f"--out {out} names no directory")
-    if not (out.exists() or out.is_symlink()):
-        return
-    cwd = Path.cwd()
-    if out.is_symlink() or not out.is_dir() or out == cwd or out in cwd.parents:
-        raise ConfigError(f"refusing to replace {out}: not a result bundle "
-                          "directory")
-    entries = list(out.iterdir())
-    names = {p.name for p in entries}
-    if entries and ("manifest.txt" not in names or not names <= _RESULT_FILES
-                    or not all(p.is_file() for p in entries)):
-        raise ConfigError(f"refusing to replace {out}: it holds files that "
-                          "are not part of a result bundle")
 
 
 def _write_result(out, bundle_path, method, cfg, solver_cfg, image, result,
-                  truth_support, wall_s):
+                  status, truth_support, wall_s):
     metrics.export_image(image, cfg.grid, out / "image.csv", "csv")
     metrics.export_image(image, cfg.grid, out / "image.pgm", "pgm",
                          cfg.entropy_cfg)
@@ -458,8 +500,8 @@ def _write_result(out, bundle_path, method, cfg, solver_cfg, image, result,
     scores = score_image(image, cfg.grid.nx, cfg, truth_support or None)
     report = [
         f"method: {method}",
-        f"termination: {result.termination if result is not None else 'n/a'}",
-        f"iterations: {result.state.iter if result is not None else 0}",
+        f"termination: {status[0]}",
+        f"iterations: {status[1]}",
     ] + [f"{key}: {value:.6f}" for key, value in scores.items()]
     (out / "report.txt").write_text("\n".join(report) + "\n")
     manifest = [

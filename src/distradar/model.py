@@ -162,24 +162,32 @@ class ForwardOperator:
         op.phase_matrix = _checked_phase_matrix(phase_matrix, self.grid.n_pixels)
         return op
 
+    def row_gram(self):
+        """A A^H, the real symmetric MW x MW row Gram; a fresh array per call.
+
+        A A^H = K K^H = (Ex Ex^H) * (Ey Ey^H) element-wise, independent of
+        the unit-modulus phase matrix. The pixel centres on each axis are
+        symmetric about 0, so sum_i exp(j*kappa*x_i) is real and so is each
+        factor Gram: Ex Ex^H = Re(Ex) Re(Ex)^T + Im(Ex) Im(Ex)^T, one real
+        product on the interleaved (re, im) view of Ex.
+        """
+        ex, ey = self._ex.view(float), self._ey.view(float)
+        gram = ex @ ex.T
+        gram *= ey @ ey.T
+        return gram
+
     def solve_matrix(self, mu, beta):
         """M = (beta*I + mu*A A^H)^-1, the real MW x MW matrix of the local solve.
 
-        A A^H = K K^H = (Ex Ex^H) * (Ey Ey^H) element-wise, independent of
-        the unit-modulus phase matrix, so one inverse serves every refold of
-        this geometry. The pixel centres on each axis are symmetric about 0,
-        so sum_i exp(j*kappa*x_i) is real and so is each factor Gram:
-        Ex Ex^H = Re(Ex) Re(Ex)^T + Im(Ex) Im(Ex)^T, one real product on the
-        interleaved (re, im) view of Ex. M is therefore a symmetric float64
-        matrix. Built on first call and cached in a single slot keyed on
-        (mu, beta); a call with other values rebuilds it.
+        The row Gram is phase-free, so one inverse serves every refold of
+        this geometry, and real, so M is a symmetric float64 matrix. Built
+        on first call and cached in a single slot keyed on (mu, beta); a
+        call with other values rebuilds it.
         """
         with self._solve_lock:
             cached = self._solve_cache[0]
             if cached is None or cached[:2] != (mu, beta):
-                ex, ey = self._ex.view(float), self._ey.view(float)
-                gram = ex @ ex.T
-                gram *= ey @ ey.T
+                gram = self.row_gram()
                 gram *= mu
                 gram.flat[::gram.shape[0] + 1] += beta
                 self._solve_cache[0] = cached = (mu, beta, np.linalg.inv(gram))

@@ -262,7 +262,8 @@ def test_criterion_7_anisotropic_recovery(aniso):
         sadmm = solvers.run("sadmm", aniso["folded"], aniso["measurements"],
                             sadmm_cfg)
         single = solvers.composite_baseline(aniso["folded"][:1],
-                                            aniso["measurements"][:1], 50.0)
+                                            aniso["measurements"][:1],
+                                            50.0).image
         f1_cadmm = _f1(cadmm.state.global_image, truth, nx)
         f1_sadmm = _f1(sadmm.state.global_image, truth, nx)
         f1_single = _f1(single, truth, nx)

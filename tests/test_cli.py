@@ -184,6 +184,80 @@ def test_simulate_seed_override_changes_bundle(config_file, tmp_path):
     assert cfg.seed == 99
 
 
+_TWO_CLUSTER_BUNDLE = ["config.ini", "manifest.txt", "meas_q00.csv",
+                       "meas_q01.csv", "truth_q00.csv", "truth_q01.csv",
+                       "truth_support.csv"]
+
+
+def test_simulate_replaces_an_earlier_bundle_whole(config_file, tmp_path):
+    # a Q = 2 scenario written over a Q = 3 bundle keeps none of its files,
+    # nor the results and sweep tables written into it by default
+    three = tmp_path / "three.ini"
+    three.write_text(BASE_CONFIG.replace("q_count = 2", "q_count = 3"))
+    out = tmp_path / "bundle"
+    cmd_simulate(three, out)
+    cmd_reconstruct(out, "bp")
+    cmd_sweep(out, "cadmm", [5.0], [5.0])
+    assert {"meas_q02.csv", "recon_bp", "sweep_cadmm.csv"} <= {
+        p.name for p in out.iterdir()}
+    assert cmd_simulate(config_file, out) == out
+    assert sorted(p.name for p in out.iterdir()) == _TWO_CLUSTER_BUNDLE
+    fresh = cmd_simulate(config_file, tmp_path / "fresh")
+    assert _snapshot(out) == _snapshot(fresh)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bundle", "exp.ini", "fresh", "three.ini"]
+
+
+def test_simulate_failed_write_keeps_old_bundle(config_file, bundle, tmp_path,
+                                                capsys, monkeypatch):
+    before = _snapshot(bundle)
+
+    def full_disk(*_args, **_kwargs):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "_write_complex_csv", full_disk)
+    assert main(["simulate", "--config", str(config_file),
+                 "--out", str(bundle)]) == 4
+    assert "I/O error" in capsys.readouterr().err
+    assert _snapshot(bundle) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "exp.ini"]
+
+
+@pytest.mark.parametrize("target", ["result", "foreign", "extra_file",
+                                    "file", "cwd"])
+def test_simulate_refuses_to_replace_other_directories(
+        config_file, bundle, tmp_path, capsys, monkeypatch, target):
+    # replacing --out deletes it, so only an earlier scenario bundle or an
+    # empty directory may be replaced, and the refusal comes before the
+    # simulation
+    def no_simulation(*_args, **_kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    out = tmp_path / "out"
+    if target == "result":
+        cmd_reconstruct(bundle, "bp", out)
+    elif target == "foreign":
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me\n")
+    elif target == "extra_file":
+        out = bundle
+        (out / "notes.txt").write_text("keep me\n")
+    elif target == "file":
+        out.write_text("keep me\n")
+    else:
+        monkeypatch.chdir(tmp_path)
+        out = Path(".")
+    monkeypatch.setattr(cli.simulate, "synthesize_measurements", no_simulation)
+    tree = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    data = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(["simulate", "--config", str(config_file),
+                 "--out", str(out)]) == 2
+    assert "refusing to replace" in capsys.readouterr().err
+    assert sorted(str(p.relative_to(tmp_path))
+                  for p in tmp_path.rglob("*")) == tree
+    assert all(p.read_bytes() == b for p, b in data.items())
+
+
 def test_load_bundle_roundtrip(bundle):
     cfg, ops, meas, truth_support = load_bundle(bundle)
     assert len(ops) == 2 and len(meas) == 2
@@ -264,6 +338,10 @@ def test_reconstruct_methods(bundle, method):
     report = (out / "report.txt").read_text()
     assert f"method: {method}" in report
     assert "f1:" in report
+    if method == "composite":
+        # every cluster met the FISTA stop; iterations is the largest count
+        assert "termination: converged\n" in report
+        assert int(report.split("iterations: ")[1].split()[0]) > 1
     if method in ("cadmm", "sadmm"):
         lines = (out / "convergence.csv").read_text().splitlines()
         assert lines[0] == "iter,primal_res,dual_res,eps_pri,eps_dual,objective"
@@ -402,14 +480,14 @@ def test_reconstruct_relative_out_into_empty_directory(bundle, tmp_path,
                                                           "out"]
 
 
-def _reconstruct_with_blas_threads(bundle, out, blas_threads):
+def _reconstruct_with_blas_threads(bundle, out, blas_threads, method):
     src = str(Path(distradar.__file__).parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
                OMP_NUM_THREADS=str(blas_threads),
                PYTHONPATH=os.pathsep.join(
                    p for p in (src, os.environ.get("PYTHONPATH")) if p))
     subprocess.run([sys.executable, "-m", "distradar.cli", "reconstruct",
-                    "--config", str(bundle), "--method", "cadmm",
+                    "--config", str(bundle), "--method", method,
                     "--out", str(out)],
                    env=env, check=True, capture_output=True)
     report = dict(line.split(": ", 1)
@@ -418,22 +496,28 @@ def _reconstruct_with_blas_threads(bundle, out, blas_threads):
 
 
 def test_reconstruct_across_blas_thread_counts(tmp_path):
-    # LAPACK factorisations (the local solve's inv) differ in the last bits
-    # between BLAS thread counts once they are large enough to be threaded
-    # (MW = 256 here), so this contract is a tolerance, not byte identity:
-    # same iteration count and termination, images within 1e-9 relative
+    # LAPACK routines (the local solve's inv, composite's eigvalsh) may
+    # differ in the last bits between BLAS thread counts once they are
+    # large enough to be threaded (MW = 256 here), so this contract is a
+    # tolerance, not byte identity: same termination, images within 1e-9
+    # of their peak, and for ADMM the same iteration count
     path = tmp_path / "blas.ini"
     path.write_text(BASE_CONFIG.replace("nx = 8", "nx = 16")
                     .replace("ny = 8", "ny = 16")
                     .replace("apcs_per_cluster = 3", "apcs_per_cluster = 8")
                     .replace("freq_count = 4", "freq_count = 32"))
     bundle = cmd_simulate(path, tmp_path / "bundle")
-    report_1, image_1 = _reconstruct_with_blas_threads(bundle, tmp_path / "t1", 1)
-    report_2, image_2 = _reconstruct_with_blas_threads(bundle, tmp_path / "t2", 2)
-    assert report_1["iterations"] == report_2["iterations"]
-    assert report_1["termination"] == report_2["termination"]
-    assert (np.max(np.abs(image_1 - image_2))
-            <= 1e-9 * np.max(np.abs(image_1)))
+    for method in ("cadmm", "composite"):
+        report_1, image_1 = _reconstruct_with_blas_threads(
+            bundle, tmp_path / f"{method}1", 1, method)
+        report_2, image_2 = _reconstruct_with_blas_threads(
+            bundle, tmp_path / f"{method}2", 2, method)
+        if method == "cadmm":
+            assert report_1["iterations"] == report_2["iterations"]
+        assert (report_1["termination"] == report_2["termination"]
+                == "converged")
+        assert (np.max(np.abs(image_1 - image_2))
+                <= 1e-9 * np.max(np.abs(image_1)))
 
 
 def test_reconstruct_overrides(bundle, tmp_path):

@@ -1,5 +1,6 @@
-"""Property tests of the separable forward operator, the exact local solve
-and the single-cluster degeneration of the two ADMM forms.
+"""Property tests of the separable forward operator, the exact local solve,
+the single-cluster degeneration of the two ADMM forms and the composite
+baseline's step bound and optimality.
 
 Grids are drawn with nx != ny so that a transposed reshape of the factored
 operator cannot pass; every check is against the entry-by-entry dense
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distradar.model import ClusterGeometry, SceneGrid, make_operator
-from distradar.solvers import CADMM, SADMM, SolverConfig, local_solve, run
+from distradar.solvers import (CADMM, SADMM, SolverConfig, composite_baseline,
+                               composite_lipschitz, local_solve, run)
 
 from conftest import dense_operator_matrix
 
@@ -133,3 +135,71 @@ def test_single_cluster_methods_agree(case, mu, lam, beta, iters):
     for got, ref in ((b.state.global_image, a.state.global_image),
                      (b.state.local_images, a.state.local_images)):
         assert np.linalg.norm(got - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
+
+
+@PROPERTY
+@given(cases())
+def test_composite_lipschitz_is_exact_norm_bound(case):
+    # 2*lambda_max of the phase-free row Gram is 2*||A||^2 of the folded
+    # dense matrix, and so bounds the curvature 2*||[Re A; Im A]||^2 of
+    # ||y - A x||^2 over real x
+    grid, geometry, rng = case
+    theta = _phase(rng, grid.n_pixels)
+    op = make_operator(grid, geometry).with_phase_matrix(theta)
+    dense = dense_operator_matrix(grid, geometry, theta)
+    got = composite_lipschitz(op)
+    exact = 2.0 * np.linalg.norm(dense, 2) ** 2
+    assert abs(got - exact) <= 1e-10 * exact
+    real_curvature = 2.0 * np.linalg.norm(np.vstack([dense.real, dense.imag]),
+                                          2) ** 2
+    assert got >= real_curvature * (1 - 1e-12)
+
+
+@st.composite
+def composite_cases(draw):
+    """(grid, Q >= 2 geometries, rng): clusters at distinct azimuths."""
+    grid, geometry, rng = draw(cases())
+    extra = [ClusterGeometry(geometry.azimuth_angles + draw(st.floats(0.3, 3.0)),
+                             geometry.elevation, geometry.frequencies, q)
+             for q in range(1, draw(st.integers(2, 3)))]
+    return grid, [geometry] + extra, rng
+
+
+@PROPERTY
+@given(composite_cases(), st.floats(0.02, 0.8))
+def test_composite_images_satisfy_lasso_kkt(case, lam_frac):
+    # each cluster's image x minimises ||y - A x||^2 + lam*||x||_1 over
+    # x >= 0 (A the folded dense matrix) to within the stop rule: with
+    # g = 2*Re(A^H (A x - y)) + lam, the KKT conditions are g_i = 0 where
+    # x_i > 0 and g_i >= 0 where x_i = 0. A prox-gradient step of size 1/L
+    # from y_k to x leaves dist(0, subdifferential at x) <= 2*||G(y_k)||,
+    # and the stop makes ||G(y_k)|| < tol*||G(0)||, so the stated
+    # tolerance is 2*tol*||G(0)|| with ||G(0)|| = ||max(2*Re(A^H y) - lam, 0)||,
+    # plus 1e-10*||2*Re(A^H y)|| for rounding
+    grid, geometries, rng = case
+    tol = 1e-6
+    ops, denses, ys = [], [], []
+    for geometry in geometries:
+        theta = _phase(rng, grid.n_pixels)
+        ops.append(make_operator(grid, geometry).with_phase_matrix(theta))
+        denses.append(dense_operator_matrix(grid, geometry, theta))
+        scene = (rng.uniform(0.5, 1.5, grid.n_pixels)
+                 * (rng.uniform(size=grid.n_pixels) < 0.3))
+        ys.append(denses[-1] @ scene + 0.05 * _complex(rng, ops[-1].n_measurements))
+    lam = lam_frac * max(np.max(np.abs(2.0 * (a.conj().T @ y).real))
+                         for a, y in zip(denses, ys))
+    fused = composite_baseline(ops, ys, lam, tol=tol)
+    assert fused.termination == "converged"
+    singles = []
+    for op, a, y in zip(ops, denses, ys):
+        single = composite_baseline([op], [y], lam, tol=tol)
+        x = single.image
+        singles.append(x)
+        back = 2.0 * (a.conj().T @ y).real
+        bound = (2 * tol * np.linalg.norm(np.maximum(back - lam, 0.0))
+                 + 1e-10 * np.linalg.norm(back))
+        g = 2.0 * (a.conj().T @ (a @ x - y)).real + lam
+        assert np.all(x >= 0)
+        assert np.all(np.abs(g[x > 0]) <= bound)
+        assert np.all(g[x == 0] >= -bound)
+    np.testing.assert_array_equal(fused.image, np.max(singles, axis=0))

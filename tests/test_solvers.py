@@ -8,7 +8,8 @@ from distradar.simulate import (Scatterer, SimScenario, make_uniform_clusters,
                                 rasterize_scene, synthesize_measurements)
 from distradar.solvers import (CADMM, SADMM, NumericalError, SolverConfig,
                                SolverState, accelerated_prox_gradient,
-                               composite_baseline, dual_update,
+                               composite_baseline, composite_lipschitz,
+                               dual_update,
                                global_update_cadmm, global_update_sadmm,
                                local_solve, local_update_cadmm,
                                residuals_and_tolerances, run)
@@ -72,8 +73,8 @@ def test_fista_matches_soft_threshold_closed_form():
         b = rng.standard_normal(30) * 3
         c = rng.uniform(0.5, 5.0)
         lam = rng.uniform(0.1, 2.0)
-        z = accelerated_prox_gradient(lambda v: c * (v - b), c, lam, 30,
-                                      max_iters=400, tol=1e-14)
+        z, _, _ = accelerated_prox_gradient(lambda v: c * (v - b), c, lam,
+                                            30, max_iters=400, tol=1e-14)
         np.testing.assert_allclose(z, np.maximum(b - lam / c, 0.0),
                                    atol=1e-10)
 
@@ -83,9 +84,11 @@ def test_fista_single_step_exact_for_matching_lipschitz():
     # lands on the minimizer
     b = np.array([3.0, -1.0, 0.4, 0.0])
     c, lam = 2.0, 0.5
-    z = accelerated_prox_gradient(lambda v: c * (v - b), c, lam, 4,
-                                  max_iters=3, tol=1e-15)
+    z, iterations, residual = accelerated_prox_gradient(
+        lambda v: c * (v - b), c, lam, 4, max_iters=3, tol=1e-15)
     np.testing.assert_allclose(z, np.maximum(b - lam / c, 0.0), atol=1e-15)
+    # the second step sees a zero prox-gradient mapping and stops
+    assert (iterations, residual) == (2, 0.0)
 
 
 def test_global_update_cadmm_matches_closed_form():
@@ -249,38 +252,63 @@ def test_objective_matches_serial_recomputation(method, threads):
         ops, ys, state.local_images, state.global_image, cfg)
 
 
+_LASSO_GRID = SceneGrid(8, 6, 4.0, 3.0)
+_LASSO_CLUSTERS = make_uniform_clusters(3, math.radians(3.0), 3,
+                                        math.radians(25.0), 9.6e9, 1.0e9, 4)
+
+
+def _lasso_measurements(seed):
+    rng = np.random.default_rng(seed)
+    scatterers = [Scatterer((rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0)),
+                            1.0) for _ in range(3)]
+    return [h.data for h in synthesize_measurements(
+        SimScenario(_LASSO_GRID, _LASSO_CLUSTERS, scatterers, math.inf, seed))]
+
+
+def _stacked_real(parts):
+    return np.concatenate([x for part in parts for x in (part.real, part.imag)])
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_cadmm_reaches_lasso_optimum():
     # for consensus the stated objective is one nonnegative lasso,
     # F(z) = sum_q (mu/2)*||y_q - A_q z||^2 + lam*||z||_1 over z >= 0, so
     # at tight tolerances run must return its minimiser; F* comes from a
     # long FISTA run on the dense matrices (B = [Re A_q; Im A_q] stacked)
-    grid = SceneGrid(8, 6, 4.0, 3.0)
-    clusters = make_uniform_clusters(3, math.radians(3.0), 3,
-                                     math.radians(25.0), 9.6e9, 1.0e9, 4)
-    dense = [dense_operator_matrix(grid, c) for c in clusters]
-    b = np.vstack([part for a in dense for part in (a.real, a.imag)])
+    grid, clusters = _LASSO_GRID, _LASSO_CLUSTERS
+    b = _stacked_real([dense_operator_matrix(grid, c) for c in clusters])
     mu, lam = 1.0, 2.0
     cfg = SolverConfig(mu=mu, lam=lam, beta=2.0, eps_abs=1e-10, eps_rel=1e-10,
                        max_outer_iters=10_000)
     for seed in range(4):
-        rng = np.random.default_rng(seed)
-        scatterers = [Scatterer((rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0)),
-                                1.0) for _ in range(3)]
-        ys = [h.data for h in synthesize_measurements(
-            SimScenario(grid, clusters, scatterers, math.inf, seed))]
-        by = np.concatenate([part for y in ys for part in (y.real, y.imag)])
+        ys = _lasso_measurements(seed)
+        by = _stacked_real(ys)
 
         def objective(z):
             return (mu / 2) * np.sum((by - b @ z) ** 2) + lam * np.sum(np.abs(z))
 
-        z_star = accelerated_prox_gradient(
+        z_star, _, _ = accelerated_prox_gradient(
             lambda z: mu * (b.T @ (b @ z - by)), mu * np.linalg.norm(b, 2) ** 2,
             lam, grid.n_pixels, 5000, 0.0)
         result = run(CADMM, [make_operator(grid, c) for c in clusters], ys, cfg)
         assert result.termination == "converged"
         got, best = objective(result.state.global_image), objective(z_star)
         assert got <= best * (1 + 1e-6), f"seed {seed}: F = {got}, F* = {best}"
+
+
+def test_fista_zero_tol_runs_every_iteration():
+    # the F* oracle of test_cadmm_reaches_lasso_optimum relies on tol = 0
+    # never stopping early, even where the prox-gradient mapping reaches an
+    # exact 0.0 (as it does on these problems)
+    b = _stacked_real([dense_operator_matrix(_LASSO_GRID, c)
+                       for c in _LASSO_CLUSTERS])
+    for seed in range(4):
+        by = _stacked_real(_lasso_measurements(seed))
+        _, iterations, residual = accelerated_prox_gradient(
+            lambda z: b.T @ (b @ z - by), np.linalg.norm(b, 2) ** 2, 2.0,
+            _LASSO_GRID.n_pixels, 5000, 0.0)
+        assert iterations == 5000
+        assert residual < 1e-6
 
 
 def test_run_single_cluster_methods_agree():
@@ -325,9 +353,10 @@ def test_composite_baseline_recovers_consistent_system(small_grid):
     x_true = np.zeros(16)
     x_true[[2, 9]] = [1.0, 2.0]
     y = dense @ x_true
-    fused = composite_baseline([op], [y], lambda_c=1e-8, max_iters=3000,
-                               tol=1e-14)
-    np.testing.assert_allclose(fused, x_true, atol=1e-4)
+    result = composite_baseline([op], [y], lambda_c=1e-8, max_iters=3000,
+                                tol=1e-14)
+    assert result.termination == "converged"
+    np.testing.assert_allclose(result.image, x_true, atol=1e-4)
 
 
 def test_composite_baseline_fuses_by_maximum():
@@ -335,8 +364,52 @@ def test_composite_baseline_fuses_by_maximum():
     both = composite_baseline(ops, ys, lambda_c=1.0)
     first = composite_baseline(ops[:1], ys[:1], lambda_c=1.0)
     second = composite_baseline(ops[1:], ys[1:], lambda_c=1.0)
-    np.testing.assert_array_equal(both, np.maximum(first, second))
-    np.testing.assert_array_equal(
-        composite_baseline(ops, ys, lambda_c=1.0, threads=2), both)
+    np.testing.assert_array_equal(both.image,
+                                  np.maximum(first.image, second.image))
+    assert both.iterations == first.iterations + second.iterations
+    assert both.residuals == first.residuals + second.residuals
+    threaded = composite_baseline(ops, ys, lambda_c=1.0, threads=2)
+    np.testing.assert_array_equal(threaded.image, both.image)
+    assert threaded.iterations == both.iterations
     with pytest.raises(ValueError):
         composite_baseline([], [], 1.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda_c"):
+            composite_baseline(ops, ys, bad)
+    with pytest.raises(ValueError, match="max_iters"):
+        composite_baseline(ops, ys, 1.0, max_iters=0)
+
+
+def test_composite_lipschitz_is_twice_the_squared_dense_norm():
+    _, ops, _ = _cluster_setup(seed=6, q_count=2)
+    for op in ops:
+        dense = dense_operator_matrix(op.grid, op.geometry)
+        exact = 2.0 * np.linalg.norm(dense, 2) ** 2
+        assert abs(composite_lipschitz(op) - exact) <= 1e-10 * exact
+
+
+def test_composite_returns_zero_when_lambda_dominates():
+    # z = 0 minimises ||y - A x||^2 + lam*||x||_1 over x >= 0 exactly when
+    # lam >= max 2*Re(A^H y); the first prox-gradient step then stays at 0
+    _, ops, ys = _cluster_setup(seed=5, q_count=1)
+    dense = dense_operator_matrix(ops[0].grid, ops[0].geometry)
+    lam_max = np.max(2.0 * (dense.conj().T @ ys[0]).real)
+    for lam in (lam_max * (1 + 1e-9), 2.0 * lam_max):
+        result = composite_baseline(ops, ys, lambda_c=lam)
+        np.testing.assert_array_equal(result.image, np.zeros(64))
+        assert result.iterations == [1] and result.residuals == [0.0]
+        assert result.termination == "converged"
+    below = composite_baseline(ops, ys, lambda_c=0.99 * lam_max)
+    assert np.count_nonzero(below.image) > 0 and below.iterations[0] > 1
+
+
+def test_composite_reports_a_hit_cap():
+    _, ops, ys = _cluster_setup(seed=4, q_count=2)
+    capped = composite_baseline(ops, ys, lambda_c=1.0, max_iters=3)
+    assert capped.termination == "max_iters"
+    assert capped.iterations == [3, 3]
+    assert all(r >= 1e-7 for r in capped.residuals)
+    full = composite_baseline(ops, ys, lambda_c=1.0)
+    assert full.termination == "converged"
+    assert all(3 < it < 10_000 for it in full.iterations)
+    assert all(r < 1e-7 for r in full.residuals)
