@@ -314,21 +314,27 @@ def load_bundle(bundle_path):
             raise solvers.NumericalError(f"{path}: non-finite sample")
         measurements.append(y)
     truth_path = bundle / "truth_support.csv"
-    truth_support = (_read_truth_support(truth_path) if truth_path.exists()
-                     else [])
+    truth_support = (_read_truth_support(truth_path, cfg.grid.n_pixels)
+                     if truth_path.exists() else [])
     return cfg, operators, measurements, truth_support
 
 
-def _read_truth_support(path):
-    """Pixel indices of a truth_support.csv, as cmd_simulate writes it."""
+def _read_truth_support(path, n_pixels):
+    """Pixel indices of a truth_support.csv, as cmd_simulate writes it,
+    each checked to lie in [0, n_pixels)."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if rows[:1] != [["pixel_index"]]:
         raise ConfigError(f"{path}: no 'pixel_index' header")
     try:
-        return [int(row[0]) for row in rows[1:]]
+        indices = [int(row[0]) for row in rows[1:]]
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed row: {exc}") from exc
+    for index in indices:
+        if not 0 <= index < n_pixels:
+            raise ConfigError(f"{path}: pixel index {index} outside "
+                              f"[0, {n_pixels})")
+    return indices
 
 
 def _fold_phase_matrices(operators, measurements):
@@ -527,12 +533,17 @@ def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_path=None):
     if not beta_list or not ratio_list:
         raise ConfigError("sweep requires non-empty beta and ratio lists")
     cfg, operators, measurements, _ = load_bundle(bundle_path)
-    # every point is validated before the first solve
+    # every point and the output paths are validated before the first solve
     points = [(beta, ratio, _with_overrides(cfg.solver, beta, ratio))
               for beta in beta_list for ratio in ratio_list]
-    folded = _fold_phase_matrices(operators, measurements)
     out_path = Path(out_path if out_path is not None else
                     Path(bundle_path) / f"sweep_{method}.csv")
+    best_path = out_path.with_name(out_path.stem + "_best.txt")
+    for path in (out_path, best_path):
+        if path.is_dir():
+            raise ConfigError(f"{path} is a directory, not a sweep table")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    folded = _fold_phase_matrices(operators, measurements)
     rows = []
     for beta, ratio, solver_cfg in points:
         t0 = time.perf_counter()
@@ -555,7 +566,6 @@ def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_path=None):
             writer.writerow(row)
     lo, hi = cfg.sparsity_window
     eligible = [r for r in rows if lo <= r["sparsity"] <= hi]
-    best_path = out_path.with_name(out_path.stem + "_best.txt")
     if eligible:
         best = min(eligible, key=lambda r: r["entropy"])
         best_path.write_text(
@@ -572,7 +582,8 @@ def cmd_metrics(image_path, config_path=None, truth_path=None):
     scoring = (load_config(config_path) if config_path is not None else
                MetricsConfig.from_parser(configparser.ConfigParser()))
     raster = metrics.load_image_csv(image_path)
-    truth = None if truth_path is None else _read_truth_support(truth_path)
+    truth = (None if truth_path is None else
+             _read_truth_support(truth_path, raster.size))
     scores = score_image(raster.ravel(), raster.shape[1], scoring, truth)
     return {key: f"{value:.6f}" for key, value in scores.items()}
 

@@ -5,7 +5,7 @@ node's local update reads only its own operator, measurements, previous
 local image and the central node's last downlink; the central node runs
 the global and dual updates and the stopping check. This module names the
 messages of that schedule, replays them as a per-iteration trace of a
-run, and accounts for payload volume and cluster-node memory.
+run, and accounts for its payload volume.
 """
 
 import csv
@@ -62,18 +62,6 @@ def downlink_elements_per_iteration(method, q_count, n):
     """Total central-to-cluster payload elements in one iteration."""
     return sum(r.payload_len for r in iteration_schedule(method, q_count, n)
                if r.direction in (BROADCAST, UNICAST))
-
-
-def memory_audit(method, n):
-    """Per-cluster-node storage accounting, in array elements.
-
-    persistent: state a cluster must keep across iterations (its local
-    image; SADMM needs it to form x_bar - x_q). received: downlink
-    elements consumed per iteration, every broadcast plus the cluster's own
-    unicast: the whole downlink of a one-cluster iteration_schedule.
-    """
-    return {"persistent": n,
-            "received_per_iter": downlink_elements_per_iteration(method, 1, n)}
 
 
 def run_message_passing(method, operators, measurements, cfg):

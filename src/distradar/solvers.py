@@ -65,7 +65,7 @@ class IterationRecord:
 class SolverState:
     local_images: np.ndarray  # (Q, N), nonnegative
     global_image: np.ndarray  # (N,), nonnegative
-    dual: np.ndarray  # (Q*N,) for CADMM, (N,) for SADMM
+    dual: np.ndarray  # sized like the coupling gap: (Q*N,) CADMM, (N,) SADMM
     iter: int = 0
     residual_log: list = field(default_factory=list)
 
@@ -134,33 +134,26 @@ def accelerated_prox_gradient(grad, lipschitz, lam, n, max_iters, tol):
     return z, k, (res / res0 if res0 > 0 else 0.0)
 
 
-def local_update_cadmm(op, mu_ahy, x_global, sigma_q, cfg):
-    """Closed-form local image update of the consensus engine.
+def local_update(op, mu_ahy, target, sigma_q, cfg):
+    """Closed-form local image update, shared by both coupling forms.
 
-    Solves (mu*A^H A + beta*I) v = mu*A^H y + beta*x_G - sigma_q exactly,
-    then projects onto the real nonnegative orthant. mu_ahy is the
-    iteration-invariant term mu*A^H y.
+    Solves (mu*A^H A + beta*I) v = mu*A^H y + beta*target - sigma_q
+    exactly, then projects onto the real nonnegative orthant. mu_ahy is
+    the iteration-invariant term mu*A^H y. run picks the other two: x_G
+    and the cluster's dual slice for consensus; for sharing
+    x_G - (x_bar_prev - x_q_prev), the sum of the other clusters' previous
+    images entering through x_bar_prev, and the full dual.
     """
-    rhs = mu_ahy + cfg.beta * x_global - sigma_q
+    rhs = mu_ahy + cfg.beta * target - sigma_q
     return np.maximum(local_solve(op, cfg.mu, cfg.beta, rhs).real, 0.0)
 
 
-def local_update_sadmm(op, mu_ahy, x_global, x_bar_prev, x_q_prev, sigma, cfg):
-    """Closed-form local image update of the sharing engine.
-
-    The right-hand side replaces beta*x_G with
-    beta*(x_G - (x_bar_prev - x_q_prev)), the sum of the other clusters'
-    previous images entering through x_bar_prev.
-    """
-    rhs = mu_ahy + cfg.beta * (x_global - (x_bar_prev - x_q_prev)) - sigma
-    return np.maximum(local_solve(op, cfg.mu, cfg.beta, rhs).real, 0.0)
-
-
-def _sum_ascending(vectors):
-    # fixed reduction order for bit reproducibility
-    acc = np.zeros_like(vectors[0])
-    for v in vectors:
-        acc = acc + v
+def _sum_ascending(rows):
+    # sum of a 2-D array's rows, first to last: a fixed reduction order
+    # for bit reproducibility
+    acc = np.zeros_like(rows[0])
+    for row in rows:
+        acc = acc + row
     return acc
 
 
@@ -174,8 +167,8 @@ def global_update_cadmm(local_images, sigma, cfg):
     """
     local_images = np.asarray(local_images)
     q_count, n = local_images.shape
-    x_sum = _sum_ascending(list(local_images))
-    sigma_sum = _sum_ascending(list(sigma.reshape(q_count, n)))
+    x_sum = _sum_ascending(local_images)
+    sigma_sum = _sum_ascending(sigma.reshape(q_count, n))
     return np.maximum((cfg.beta * x_sum + sigma_sum - cfg.lam)
                       / (q_count * cfg.beta), 0.0)
 
@@ -189,49 +182,21 @@ def global_update_sadmm(x_bar, sigma, cfg):
     return np.maximum(x_bar + (sigma - cfg.lam) / cfg.beta, 0.0)
 
 
-def dual_update(method, local_images, x_global_new, sigma, cfg):
-    """Dual ascent step; returns the updated dual variable.
-
-    CADMM: sigma_q += beta*(x_q - x_G) per cluster slice.
-    SADMM: sigma += beta*(sum_q x_q - x_G).
-    """
-    local_images = np.asarray(local_images)
-    if method == CADMM:
-        q_count, n = local_images.shape
-        return sigma + cfg.beta * (local_images.reshape(q_count * n)
-                                   - np.tile(x_global_new, q_count))
-    x_bar = _sum_ascending(list(local_images))
-    return sigma + cfg.beta * (x_bar - x_global_new)
-
-
-def residuals_and_tolerances(method, x_global_prev, state, cfg):
+def residuals_and_tolerances(gap, sizes, x_global, x_global_prev, dual, cfg):
     """Primal/dual residual norms and their feasibility tolerances.
 
-    The dual residual is beta*(x_G_new - x_G_prev) for both methods. The
-    primal residual is the stacked consensus gap for CADMM and the sharing
-    gap sum_q x_q - x_G for SADMM; tolerances combine eps_abs and eps_rel
-    with the method's own norms.
+    gap is the coupling residual r = Ax + Bz - c of Boyd et al. (2011,
+    section 3.3): the stacked x_q - x_G for consensus, sum_q x_q - x_G for
+    sharing. sizes holds the norms of its two sides. The primal residual
+    is ||gap|| and the dual residual beta*||x_G - x_G_prev||; both
+    tolerances are sqrt(gap.size)*eps_abs plus eps_rel times max(sizes)
+    for the primal one, ||dual|| for the dual one.
     """
-    local = np.asarray(state.local_images)
-    q_count, n = local.shape
-    x_global = state.global_image
+    root = math.sqrt(gap.size)
+    primal_norm = np.linalg.norm(gap)
     dual_norm = np.linalg.norm(cfg.beta * (x_global - x_global_prev))
-    if method == CADMM:
-        primal = local.reshape(q_count * n) - np.tile(x_global, q_count)
-        primal_norm = np.linalg.norm(primal)
-        eps_pri = (math.sqrt(q_count * n) * cfg.eps_abs
-                   + cfg.eps_rel * max(np.linalg.norm(local),
-                                       math.sqrt(q_count) * np.linalg.norm(x_global)))
-        eps_dual = (math.sqrt(q_count * n) * cfg.eps_abs
-                    + cfg.eps_rel * np.linalg.norm(state.dual))
-    else:
-        x_bar = _sum_ascending(list(local))
-        primal_norm = np.linalg.norm(x_bar - x_global)
-        eps_pri = (math.sqrt(n) * cfg.eps_abs
-                   + cfg.eps_rel * max(np.linalg.norm(x_bar),
-                                       np.linalg.norm(x_global)))
-        eps_dual = (math.sqrt(n) * cfg.eps_abs
-                    + cfg.eps_rel * np.linalg.norm(state.dual))
+    eps_pri = root * cfg.eps_abs + cfg.eps_rel * max(sizes)
+    eps_dual = root * cfg.eps_abs + cfg.eps_rel * np.linalg.norm(dual)
     return float(primal_norm), float(dual_norm), float(eps_pri), float(eps_dual)
 
 
@@ -250,10 +215,13 @@ def _map_clusters(pool, task, q_count):
 def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
     """Full ADMM loop for either method.
 
-    Starts from all-zero primal and dual variables. Each outer iteration
-    performs local updates (reading only iteration-k shared state), the
-    global update, the dual update, and the stopping check. on_iteration,
-    when given, receives the SolverState after every outer iteration.
+    Starts from all-zero primal and dual variables. Past the dual's size,
+    the coupling form is decided in two places: the local targets, and the
+    global step with its coupling gap. Everything else is shared. Each outer iteration performs
+    the local updates (reading only iteration-k shared state), the global
+    update, the dual step dual + beta*gap, and the stopping check on the
+    same gap. on_iteration, when given, receives the SolverState after
+    every outer iteration.
 
     Every per-cluster stage runs as one task per cluster, on a thread pool
     when threads > 1: before the loop, building (or reusing, from an
@@ -273,6 +241,7 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
     q_count = len(operators)
     n = operators[0].grid.n_pixels
     local = np.zeros((q_count, n))
+    x_bar = np.zeros(n)  # sharing's sum_q x_q, kept for the next targets
     x_global = np.zeros(n)
     dual = np.zeros(q_count * n if method == CADMM else n)
     state = SolverState(local, x_global, dual)
@@ -283,38 +252,37 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
         operators[q].solve_matrix(cfg.mu, cfg.beta)
         return cfg.mu * operators[q].adjoint(measurements[q])
 
+    def one(q):
+        if method == CADMM:
+            target, sigma_q = x_global, dual[q * n:(q + 1) * n]
+        else:
+            target, sigma_q = x_global - (x_bar - local[q]), dual
+        x_q = local_update(operators[q], mu_ahy[q], target, sigma_q, cfg)
+        r = measurements[q] - operators[q].apply(x_q)  # data-fit term
+        return x_q, (cfg.mu / 2) * float(np.vdot(r, r).real)
+
     with _thread_pool(threads) as pool:
         mu_ahy = _map_clusters(pool, setup, q_count)
         for k in range(cfg.max_outer_iters):
             t0 = time.perf_counter()
-            if method == SADMM:
-                x_bar_prev = _sum_ascending(list(local))
-
-            def one(q):
-                if method == CADMM:
-                    x_q = local_update_cadmm(
-                        operators[q], mu_ahy[q], x_global,
-                        dual[q * n:(q + 1) * n], cfg)
-                else:
-                    x_q = local_update_sadmm(
-                        operators[q], mu_ahy[q], x_global,
-                        x_bar_prev, local[q], dual, cfg)
-                r = measurements[q] - operators[q].apply(x_q)  # data-fit term
-                return x_q, (cfg.mu / 2) * float(np.vdot(r, r).real)
-
             new_local, fits = zip(*_map_clusters(pool, one, q_count))
             local = np.stack(new_local)
+            x_global_prev = x_global
             if method == CADMM:
-                x_global_new = global_update_cadmm(local, dual, cfg)
+                x_global = global_update_cadmm(local, dual, cfg)
+                gap = (local - x_global).reshape(-1)
+                sizes = (np.linalg.norm(local),
+                         math.sqrt(q_count) * np.linalg.norm(x_global))
             else:
-                x_global_new = global_update_sadmm(_sum_ascending(list(local)),
-                                                   dual, cfg)
-            dual = dual_update(method, local, x_global_new, dual, cfg)
-            x_global_prev, x_global = x_global, x_global_new
+                x_bar = _sum_ascending(local)
+                x_global = global_update_sadmm(x_bar, dual, cfg)
+                gap = x_bar - x_global
+                sizes = (np.linalg.norm(x_bar), np.linalg.norm(x_global))
+            dual = dual + cfg.beta * gap
             state = SolverState(local, x_global, dual, iter=k + 1,
                                 residual_log=state.residual_log)
             primal, dual_res, eps_pri, eps_dual = residuals_and_tolerances(
-                method, x_global_prev, state, cfg)
+                gap, sizes, x_global, x_global_prev, dual, cfg)
             objective = 0.0
             for fit in fits:  # left to right; sum() compensates from Python 3.12
                 objective += fit

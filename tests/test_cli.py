@@ -272,6 +272,9 @@ def test_load_bundle_roundtrip(bundle):
 def test_load_bundle_errors(tmp_path, bundle):
     with pytest.raises(ConfigError, match="no config.ini"):
         load_bundle(tmp_path / "empty")
+    (bundle / "truth_support.csv").write_text("pixel_index\n64\n")
+    with pytest.raises(ConfigError, match="truth_support.csv: pixel index 64"):
+        load_bundle(bundle)
     (bundle / "meas_q01.csv").unlink()
     with pytest.raises(ConfigError, match="incomplete bundle"):
         load_bundle(bundle)
@@ -560,6 +563,27 @@ def test_sweep_rejects_bad_point_before_solving(bundle, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_sweep_creates_missing_out_parent(bundle, tmp_path):
+    out = tmp_path / "nodir" / "t.csv"
+    assert main(["sweep", "--config", str(bundle), "--method", "cadmm",
+                 "--beta", "5", "--ratio", "5", "--out", str(out)]) == 0
+    assert out.exists() and out.with_name("t_best.txt").exists()
+
+
+def test_sweep_out_directory_exits_2_before_solving(bundle, tmp_path, capsys,
+                                                    monkeypatch):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(cli.solvers, "run", no_solve)
+    out = tmp_path / "table"
+    out.mkdir()
+    assert main(["sweep", "--config", str(bundle), "--method", "cadmm",
+                 "--beta", "5", "--ratio", "5", "--out", str(out)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_reconstruct_unknown_method(bundle):
     with pytest.raises(ConfigError):
         cmd_reconstruct(bundle, "magic")
@@ -654,8 +678,11 @@ def test_metrics_bad_image_csv_exits_2(tmp_path, capsys, recwarn, text,
 def test_metrics_bad_truth_file_exits_2(bundle, tmp_path, capsys):
     out = cmd_reconstruct(bundle, "bp")
     truth = tmp_path / "truth.csv"
-    truth.write_text("")
-    capsys.readouterr()
-    assert main(["metrics", "--image", str(out / "image.csv"),
-                 "--truth", str(truth)]) == 2
-    assert "truth.csv" in capsys.readouterr().err
+    # an empty file, then indices outside the 64-pixel image: refused, not
+    # scored as misses
+    for text in ("", "pixel_index\n999\n", "pixel_index\n-3\n"):
+        truth.write_text(text)
+        capsys.readouterr()
+        assert main(["metrics", "--image", str(out / "image.csv"),
+                     "--truth", str(truth)]) == 2
+        assert "truth.csv" in capsys.readouterr().err

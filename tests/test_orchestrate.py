@@ -7,7 +7,7 @@ from distradar.model import SceneGrid, make_operator
 from distradar.orchestrate import (BROADCAST, UNICAST, UPLINK,
                                    downlink_elements_per_iteration,
                                    export_trace, iteration_schedule,
-                                   memory_audit, run_message_passing)
+                                   run_message_passing)
 from distradar.simulate import (Scatterer, SimScenario, make_uniform_clusters,
                                 synthesize_measurements)
 from distradar.solvers import CADMM, SADMM, SolverConfig, run
@@ -55,15 +55,6 @@ def test_downlink_volume_scaling():
     for q in (1, 2, 8, 32):
         assert downlink_elements_per_iteration(CADMM, q, n) == (q + 1) * n
         assert downlink_elements_per_iteration(SADMM, q, n) == 3 * n
-
-
-def test_memory_audit():
-    assert memory_audit(CADMM, 64) == {"persistent": 64,
-                                       "received_per_iter": 128}
-    assert memory_audit(SADMM, 64) == {"persistent": 64,
-                                       "received_per_iter": 192}
-    with pytest.raises(ValueError):
-        memory_audit("bogus", 64)
 
 
 @pytest.mark.parametrize("method", [CADMM, SADMM])

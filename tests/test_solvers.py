@@ -7,11 +7,9 @@ from distradar.model import SceneGrid, make_operator
 from distradar.simulate import (Scatterer, SimScenario, make_uniform_clusters,
                                 rasterize_scene, synthesize_measurements)
 from distradar.solvers import (CADMM, SADMM, NumericalError, SolverConfig,
-                               SolverState, accelerated_prox_gradient,
-                               composite_baseline, composite_lipschitz,
-                               dual_update,
-                               global_update_cadmm, global_update_sadmm,
-                               local_solve, local_update_cadmm,
+                               accelerated_prox_gradient, composite_baseline,
+                               composite_lipschitz, global_update_cadmm,
+                               global_update_sadmm, local_solve, local_update,
                                residuals_and_tolerances, run)
 
 from conftest import dense_operator_matrix
@@ -123,31 +121,64 @@ def test_local_update_cadmm_matches_dense(small_grid, small_geometry):
     x_g = np.abs(rng.standard_normal(16))
     sigma = rng.standard_normal(16)
     cfg = SolverConfig(mu=1.3, beta=2.1)
-    got = local_update_cadmm(op, cfg.mu * op.adjoint(y), x_g, sigma, cfg)
+    got = local_update(op, cfg.mu * op.adjoint(y), x_g, sigma, cfg)
     system = cfg.mu * dense.conj().T @ dense + cfg.beta * np.eye(16)
     rhs = cfg.mu * dense.conj().T @ y + cfg.beta * x_g - sigma
     expected = np.maximum(np.linalg.solve(system, rhs).real, 0.0)
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
-def test_dual_update_transcription():
-    rng = np.random.default_rng(44)
-    q, n = 3, 10
-    local = np.abs(rng.standard_normal((q, n)))
-    x_g = np.abs(rng.standard_normal(n))
-    cfg = SolverConfig(beta=1.9)
-    sigma_c = rng.standard_normal(q * n)
-    new_c = dual_update(CADMM, local, x_g, sigma_c, cfg)
-    for i in range(q):
-        np.testing.assert_allclose(
-            new_c[i * n:(i + 1) * n],
-            sigma_c[i * n:(i + 1) * n] + cfg.beta * (local[i] - x_g),
-            rtol=1e-14)
-    sigma_s = rng.standard_normal(n)
-    new_s = dual_update(SADMM, local, x_g, sigma_s, cfg)
-    np.testing.assert_allclose(new_s,
-                               sigma_s + cfg.beta * (local.sum(axis=0) - x_g),
-                               rtol=1e-13)
+@pytest.mark.parametrize("method", [CADMM, SADMM])
+def test_run_steps_match_dense_oracles(method):
+    # each iterate run hands to on_iteration, checked against oracles fed
+    # with the iterate before it: the local images against a dense solve
+    # of the form's right-hand side, x_G against the closed forms, the
+    # dual against sigma + beta*gap
+    grid, clusters = _LASSO_GRID, _LASSO_CLUSTERS  # Q = 3, 8 x 6 pixels
+    q, n = len(clusters), grid.n_pixels
+    rng = np.random.default_rng(66)
+    phases = [np.exp(1j * rng.uniform(-math.pi, math.pi, n)) for _ in clusters]
+    ops = [make_operator(grid, c).with_phase_matrix(p)
+           for c, p in zip(clusters, phases)]
+    denses = [dense_operator_matrix(grid, c, p)
+              for c, p in zip(clusters, phases)]
+    ys = _lasso_measurements(5)
+    cfg = SolverConfig(mu=1.3, lam=0.4, beta=2.1, max_outer_iters=4)
+    states = []
+    run(method, ops, ys, cfg, on_iteration=states.append)
+    assert [s.iter for s in states] == [1, 2, 3, 4]
+
+    local = np.zeros((q, n))
+    x_g = np.zeros(n)
+    sigma = np.zeros(q * n if method == CADMM else n)
+    for state in states:
+        for i, a in enumerate(denses):
+            if method == CADMM:
+                target, sigma_q = x_g, sigma[i * n:(i + 1) * n]
+            else:
+                target = x_g - (local.sum(axis=0) - local[i])
+                sigma_q = sigma
+            system = cfg.mu * a.conj().T @ a + cfg.beta * np.eye(n)
+            rhs = cfg.mu * a.conj().T @ ys[i] + cfg.beta * target - sigma_q
+            np.testing.assert_allclose(
+                state.local_images[i],
+                np.maximum(np.linalg.solve(system, rhs).real, 0.0),
+                rtol=1e-12, atol=1e-12)
+        local = state.local_images
+        if method == CADMM:
+            expected = np.maximum(
+                (cfg.beta * local.sum(axis=0) + sigma.reshape(q, n).sum(axis=0)
+                 - cfg.lam) / (q * cfg.beta), 0.0)
+            gap = np.concatenate([x_q - expected for x_q in local])
+        else:
+            expected = np.maximum(
+                local.sum(axis=0) + (sigma - cfg.lam) / cfg.beta, 0.0)
+            gap = local.sum(axis=0) - expected
+        np.testing.assert_allclose(state.global_image, expected,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(state.dual, sigma + cfg.beta * gap,
+                                   rtol=1e-12, atol=1e-12)
+        x_g, sigma = state.global_image, state.dual
 
 
 def test_residuals_and_tolerances_transcription():
@@ -157,32 +188,39 @@ def test_residuals_and_tolerances_transcription():
     x_g = np.abs(rng.standard_normal(n))
     x_prev = np.abs(rng.standard_normal(n))
     cfg = SolverConfig(beta=1.4, eps_abs=1e-3, eps_rel=1e-2)
+    dual_res = np.linalg.norm(cfg.beta * (x_g - x_prev))
 
-    state = SolverState(local, x_g, rng.standard_normal(q * n))
-    pri, dua, ep, ed = residuals_and_tolerances(CADMM, x_prev, state, cfg)
-    stack = np.concatenate([local[i] - x_g for i in range(q)])
-    assert pri == pytest.approx(np.linalg.norm(stack), rel=1e-13)
-    assert dua == pytest.approx(
-        np.linalg.norm(cfg.beta * (x_g - x_prev)), rel=1e-13)
+    # consensus: the stacked gap x_q - x_G
+    gap = np.concatenate([local[i] - x_g for i in range(q)])
+    sizes = (np.linalg.norm(local), math.sqrt(q) * np.linalg.norm(x_g))
+    dual = rng.standard_normal(q * n)
+    pri, dua, ep, ed = residuals_and_tolerances(gap, sizes, x_g, x_prev,
+                                                dual, cfg)
+    assert pri == pytest.approx(np.linalg.norm(gap), rel=1e-13)
+    assert dua == pytest.approx(dual_res, rel=1e-13)
     assert ep == pytest.approx(
         math.sqrt(q * n) * cfg.eps_abs
         + cfg.eps_rel * max(np.linalg.norm(local),
                             math.sqrt(q) * np.linalg.norm(x_g)), rel=1e-13)
     assert ed == pytest.approx(
-        math.sqrt(q * n) * cfg.eps_abs
-        + cfg.eps_rel * np.linalg.norm(state.dual), rel=1e-13)
+        math.sqrt(q * n) * cfg.eps_abs + cfg.eps_rel * np.linalg.norm(dual),
+        rel=1e-13)
 
-    state_s = SolverState(local, x_g, rng.standard_normal(n))
-    pri, dua, ep, ed = residuals_and_tolerances(SADMM, x_prev, state_s, cfg)
+    # sharing: the gap sum_q x_q - x_G
     x_bar = local.sum(axis=0)
+    sizes = (np.linalg.norm(x_bar), np.linalg.norm(x_g))
+    dual = rng.standard_normal(n)
+    pri, dua, ep, ed = residuals_and_tolerances(x_bar - x_g, sizes, x_g,
+                                                x_prev, dual, cfg)
     assert pri == pytest.approx(np.linalg.norm(x_bar - x_g), rel=1e-13)
+    assert dua == pytest.approx(dual_res, rel=1e-13)
     assert ep == pytest.approx(
         math.sqrt(n) * cfg.eps_abs
         + cfg.eps_rel * max(np.linalg.norm(x_bar), np.linalg.norm(x_g)),
         rel=1e-13)
     assert ed == pytest.approx(
-        math.sqrt(n) * cfg.eps_abs
-        + cfg.eps_rel * np.linalg.norm(state_s.dual), rel=1e-13)
+        math.sqrt(n) * cfg.eps_abs + cfg.eps_rel * np.linalg.norm(dual),
+        rel=1e-13)
 
 
 @pytest.mark.parametrize("method", [CADMM, SADMM])
