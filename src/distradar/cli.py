@@ -27,7 +27,11 @@ import numpy as np
 from . import __version__, metrics, model, simulate, solvers
 
 DEG = math.pi / 180.0
-METHODS = (solvers.CADMM, solvers.SADMM, "bp", "composite")
+ADMM_METHODS = (solvers.CADMM, solvers.SADMM)
+METHODS = ADMM_METHODS + ("bp", "composite")
+# the first lines of every bundle's manifest.txt
+_PROVENANCE = [f"distradar_version: {__version__}",
+               f"numpy_version: {np.__version__}"]
 
 
 class ConfigError(ValueError):
@@ -67,7 +71,8 @@ def _keyword_default(fn, name):
 
 _REQUIRED = object()  # the default of a key that must be set
 _ENTROPY = fields(metrics.EntropyConfig)
-_SCENARIO = {f.name: f.default for f in fields(simulate.SimScenario)}
+_SCENARIO_DEFAULTS = {f.name: f.default
+                      for f in fields(simulate.SimScenario)}
 
 # every config key, as section -> key -> (parser, default); defaults that
 # the program declares elsewhere are read from there: SimScenario,
@@ -77,7 +82,7 @@ _KEYS = {
     "scene": {
         "nx": (int, _REQUIRED), "ny": (int, _REQUIRED),
         "extent_x": (float, _REQUIRED), "extent_y": (float, _REQUIRED),
-        "seed": (int, _SCENARIO["seed"]),
+        "seed": (int, _SCENARIO_DEFAULTS["seed"]),
         # an explicit scatterer list, or num_scatterers random ones
         "scatterers": (_parse_scatterer_lines, None),
         "num_scatterers": (int, None), "amplitude": (float, 1.0),
@@ -89,7 +94,7 @@ _KEYS = {
         "freq_center_hz": (float, _REQUIRED),
         "bandwidth_hz": (float, _REQUIRED), "freq_count": (int, _REQUIRED),
         "elevation_deg": (float, 30.0),
-        "snr_db": (_parse_snr, _SCENARIO["snr_db"])},
+        "snr_db": (_parse_snr, _SCENARIO_DEFAULTS["snr_db"])},
     "solver": {("lambda" if f.name == "lam" else f.name): (f.type, f.default)
                for f in fields(solvers.SolverConfig)},
     "metrics": {
@@ -104,6 +109,10 @@ _KEYS = {
         "sparsity_window_max": (float, 1.0)},
     "output": {"directory": (str, "out")},
 }
+# the [scene] keys of a random scene, which an explicit scatterer list leaves
+# unused
+_RANDOM_SCENE_KEYS = ("num_scatterers", "amplitude", "random_phase",
+                      "visibility_width_deg", "margin")
 
 
 def _read_section(parser, name):
@@ -176,6 +185,10 @@ def load_config(path):
             raise ConfigError(f"{path}: missing section [{required}]")
     try:
         scene = _read_section(parser, "scene")
+        unused = [key for key in _RANDOM_SCENE_KEYS if key in parser["scene"]]
+        if scene["scatterers"] is not None and unused:
+            raise ConfigError(f"'scatterers' lists the scene, so {unused} "
+                              "would be ignored")
         if scene["scatterers"] is None and scene["num_scatterers"] is None:
             raise ConfigError("missing required key 'num_scatterers'")
         solver = _read_section(parser, "solver")
@@ -263,9 +276,7 @@ def cmd_simulate(config_path, out_dir=None, seed=None):
         buf = io.StringIO()
         parser.write(buf)
         config_text = buf.getvalue()
-    lines = [
-        f"distradar_version: {__version__}",
-        f"numpy_version: {np.__version__}",
+    lines = _PROVENANCE + [
         f"seed: {cfg.seed}",
         f"q_count: {len(scenario.clusters)}",
         f"n_pixels: {scenario.grid.n_pixels}",
@@ -366,6 +377,12 @@ def _with_overrides(solver_cfg, beta=None, ratio=None, max_iters=None):
                                   if value is not None})
 
 
+# the overrides that a method has no use for: bp solves nothing, and
+# composite runs FISTA with the config's lambda and no outer loop
+_UNUSED_OVERRIDES = {"bp": ("--beta", "--ratio", "--max-iters"),
+                     "composite": ("--beta", "--max-iters")}
+
+
 def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
                     max_iters=None, threads=1):
     """Run one reconstruction method on a bundle and write a result bundle."""
@@ -373,6 +390,12 @@ def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
         raise ConfigError(f"unknown method {method!r}")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
+    overrides = {"--beta": beta, "--ratio": ratio, "--max-iters": max_iters}
+    unused = [flag for flag in _UNUSED_OVERRIDES.get(method, ())
+              if overrides[flag] is not None]
+    if unused:
+        raise ConfigError(f"--method {method} does not use "
+                          f"{', '.join(unused)}")
     out = Path(os.path.abspath(out_dir if out_dir is not None else
                                Path(bundle_path) / f"recon_{method}"))
     _check_replaceable(out, _RESULT)
@@ -402,33 +425,33 @@ def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
     return out
 
 
-_RESULT = "result"
-_SCENARIO = "scenario"
-_RESULT_FILES = frozenset({"image.csv", "image.pgm", "wall_s.txt",
-                           "convergence.csv", "timing.csv", "report.txt",
-                           "manifest.txt"})
-# a scenario bundle's own files, and the sweep tables that sweep writes
-# into it by default
+_SCENARIO, _RESULT, _SWEEP = "scenario", "result", "sweep"
+# the files a bundle of each flat kind may hold, its manifest.txt among them
+_FLAT_FILES = {
+    _RESULT: frozenset({"image.csv", "image.pgm", "wall_s.txt", "report.txt",
+                        "convergence.csv", "timing.csv", "manifest.txt"}),
+    _SWEEP: frozenset({"sweep.csv", "best.txt", "manifest.txt"})}
+# a scenario bundle's own files
 _SCENARIO_FILE = re.compile(r"config\.ini|manifest\.txt|truth_support\.csv"
-                            r"|(truth|meas)_q\d{2,}\.csv"
-                            r"|sweep_(cadmm|sadmm)(\.csv|_best\.txt)")
-# the result bundles that reconstruct writes into it by default
-_RECON_DIRS = frozenset(f"recon_{method}" for method in METHODS)
+                            r"|(truth|meas)_q\d{2,}\.csv")
+# the bundles that reconstruct and sweep write into it by default
+_NESTED = {**{f"recon_{method}": _RESULT for method in METHODS},
+           **{f"sweep_{method}": _SWEEP for method in ADMM_METHODS}}
 
 
 def _is_bundle(directory, kind):
     """Whether `directory` holds exactly one bundle of `kind`: its
     manifest plus only that kind's files (and, in a scenario bundle, the
-    result bundles and sweep tables written into it by default)."""
+    result and sweep bundles written into it by default)."""
     entries = list(directory.iterdir())
     names = {p.name for p in entries}
-    if kind == _RESULT:
-        return ("manifest.txt" in names and names <= _RESULT_FILES
+    if kind in _FLAT_FILES:
+        return ("manifest.txt" in names and names <= _FLAT_FILES[kind]
                 and all(p.is_file() for p in entries))
     return {"config.ini", "manifest.txt"} <= names and all(
         p.is_file() and _SCENARIO_FILE.fullmatch(p.name)
-        or p.name in _RECON_DIRS and not p.is_symlink() and p.is_dir()
-        and _is_bundle(p, _RESULT)
+        or p.name in _NESTED and not p.is_symlink() and p.is_dir()
+        and _is_bundle(p, _NESTED[p.name])
         for p in entries)
 
 
@@ -510,9 +533,7 @@ def _write_result(out, bundle_path, method, cfg, solver_cfg, image, result,
         f"iterations: {status[1]}",
     ] + [f"{key}: {value:.6f}" for key, value in scores.items()]
     (out / "report.txt").write_text("\n".join(report) + "\n")
-    manifest = [
-        f"distradar_version: {__version__}",
-        f"numpy_version: {np.__version__}",
+    manifest = _PROVENANCE + [
         f"bundle: {bundle_path}",
         f"method: {method}",
         f"beta: {solver_cfg.beta}",
@@ -524,25 +545,21 @@ def _write_result(out, bundle_path, method, cfg, solver_cfg, image, result,
     (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
 
 
-def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_path=None):
-    """Grid sweep over (beta, lambda/mu); emits a table and the pick.
+def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_dir=None):
+    """Grid sweep over (beta, lambda/mu) into a sweep bundle: table and pick.
 
-    The pick is the lowest-entropy row whose sparsity falls inside the
-    configured sparsity window.
+    The pick is the lowest-entropy row whose sparsity is above 0 and inside
+    the configured sparsity window, so an empty image is never picked.
     """
     if not beta_list or not ratio_list:
         raise ConfigError("sweep requires non-empty beta and ratio lists")
+    out = Path(os.path.abspath(out_dir if out_dir is not None else
+                               Path(bundle_path) / f"sweep_{method}"))
+    _check_replaceable(out, _SWEEP)
     cfg, operators, measurements, _ = load_bundle(bundle_path)
-    # every point and the output paths are validated before the first solve
+    # every point is validated before the first solve
     points = [(beta, ratio, _with_overrides(cfg.solver, beta, ratio))
               for beta in beta_list for ratio in ratio_list]
-    out_path = Path(out_path if out_path is not None else
-                    Path(bundle_path) / f"sweep_{method}.csv")
-    best_path = out_path.with_name(out_path.stem + "_best.txt")
-    for path in (out_path, best_path):
-        if path.is_dir():
-            raise ConfigError(f"{path} is a directory, not a sweep table")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     folded = _fold_phase_matrices(operators, measurements)
     rows = []
     for beta, ratio, solver_cfg in points:
@@ -559,21 +576,28 @@ def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_path=None):
             "termination": result.termination,
             "wall_s": wall_s,
         })
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
     lo, hi = cfg.sparsity_window
-    eligible = [r for r in rows if lo <= r["sparsity"] <= hi]
+    eligible = [r for r in rows
+                if r["sparsity"] > 0 and lo <= r["sparsity"] <= hi]
     if eligible:
         best = min(eligible, key=lambda r: r["entropy"])
-        best_path.write_text(
-            "\n".join(f"{k}: {v}" for k, v in best.items()) + "\n")
+        best_text = "".join(f"{k}: {v}\n" for k, v in best.items())
     else:
-        best_path.write_text(
-            f"no sweep point inside sparsity window [{lo}, {hi}]\n")
-    return out_path, rows
+        best_text = (f"no sweep point with sparsity above 0 inside "
+                     f"sparsity window [{lo}, {hi}]\n")
+    manifest = _PROVENANCE + [f"bundle: {bundle_path}", f"method: {method}",
+                              f"seed: {cfg.seed}"]
+
+    def write(tmp):
+        with open(tmp / "sweep.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        (tmp / "best.txt").write_text(best_text)
+        (tmp / "manifest.txt").write_text("\n".join(manifest) + "\n")
+
+    _write_atomically(out, _SWEEP, write)
+    return out, rows
 
 
 def cmd_metrics(image_path, config_path=None, truth_path=None):
@@ -617,8 +641,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="hyperparameter sweep")
     p.add_argument("--config", dest="bundle", required=True)
-    p.add_argument("--method", required=True, 
-                   choices=(solvers.CADMM, solvers.SADMM))
+    p.add_argument("--method", required=True, choices=ADMM_METHODS)
     p.add_argument("--beta", type=_float_list, required=True,
                    help="comma-separated beta values")
     p.add_argument("--ratio", type=_float_list, required=True,
@@ -644,9 +667,9 @@ def main(argv=None):
                                   args.threads)
             print(f"result written to {out}")
         elif args.command == "sweep":
-            out_path, rows = cmd_sweep(args.bundle, args.method, args.beta,
-                                       args.ratio, args.out)
-            print(f"sweep table written to {out_path} ({len(rows)} rows)")
+            out, rows = cmd_sweep(args.bundle, args.method, args.beta,
+                                  args.ratio, args.out)
+            print(f"sweep written to {out} ({len(rows)} rows)")
         elif args.command == "metrics":
             for key, value in cmd_metrics(args.image, args.config,
                                           args.truth).items():

@@ -60,7 +60,8 @@ def image_entropy(image, cfg=EntropyConfig()):
     levels = _gray_levels(image, cfg)
     counts = np.bincount(levels.ravel(), minlength=cfg.gray_levels)
     p = counts[counts > 0] / levels.size
-    return float(-np.sum(p * np.log2(p)))
+    # one gray level sums to -0.0, and -0.0 + 0.0 is +0.0
+    return float(-np.sum(p * np.log2(p))) + 0.0
 
 
 def _chebyshev(a, b, nx):

@@ -144,6 +144,24 @@ def test_explicit_scatterers(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["num_scatterers = 10", "amplitude = 2.0",
+                                 "random_phase = true",
+                                 "visibility_width_deg = 90.0",
+                                 "margin = 0.2"])
+def test_scatterers_with_random_scene_keys_exits_2(tmp_path, capsys, key):
+    # an explicit scatterer list leaves the random-scene keys unused, so a
+    # config that sets both is refused rather than half ignored
+    path = tmp_path / "c.ini"
+    path.write_text(BASE_CONFIG.replace(
+        "num_scatterers = 3\namplitude = 1.0\nmargin = 0.2",
+        f"scatterers =\n    0.5 -0.5 2.0 90.0 0.0 360.0\n{key}"))
+    out = tmp_path / "b"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "scatterers" in err and key.split(" = ")[0] in err
+    assert not out.exists()
+
+
 def test_build_scenario_seeded(config_file):
     cfg = load_config(config_file)
     a = build_scenario(cfg)
@@ -191,14 +209,15 @@ _TWO_CLUSTER_BUNDLE = ["config.ini", "manifest.txt", "meas_q00.csv",
 
 def test_simulate_replaces_an_earlier_bundle_whole(config_file, tmp_path):
     # a Q = 2 scenario written over a Q = 3 bundle keeps none of its files,
-    # nor the results and sweep tables written into it by default
+    # nor the result and sweep bundles written into it by default
     three = tmp_path / "three.ini"
     three.write_text(BASE_CONFIG.replace("q_count = 2", "q_count = 3"))
     out = tmp_path / "bundle"
     cmd_simulate(three, out)
     cmd_reconstruct(out, "bp")
     cmd_sweep(out, "cadmm", [5.0], [5.0])
-    assert {"meas_q02.csv", "recon_bp", "sweep_cadmm.csv"} <= {
+    cmd_sweep(out, "sadmm", [5.0], [5.0])
+    assert {"meas_q02.csv", "recon_bp", "sweep_cadmm", "sweep_sadmm"} <= {
         p.name for p in out.iterdir()}
     assert cmd_simulate(config_file, out) == out
     assert sorted(p.name for p in out.iterdir()) == _TWO_CLUSTER_BUNDLE
@@ -224,7 +243,7 @@ def test_simulate_failed_write_keeps_old_bundle(config_file, bundle, tmp_path,
 
 
 @pytest.mark.parametrize("target", ["result", "foreign", "extra_file",
-                                    "file", "cwd"])
+                                    "file", "cwd", "legacy_sweep_table"])
 def test_simulate_refuses_to_replace_other_directories(
         config_file, bundle, tmp_path, capsys, monkeypatch, target):
     # replacing --out deletes it, so only an earlier scenario bundle or an
@@ -242,6 +261,11 @@ def test_simulate_refuses_to_replace_other_directories(
     elif target == "extra_file":
         out = bundle
         (out / "notes.txt").write_text("keep me\n")
+    elif target == "legacy_sweep_table":
+        # the loose table that sweep wrote into a bundle before it wrote
+        # sweep bundles
+        out = bundle
+        (out / "sweep_cadmm.csv").write_text("beta,ratio\n")
     elif target == "file":
         out.write_text("keep me\n")
     else:
@@ -550,6 +574,25 @@ def test_reconstruct_bad_override_exits_2_and_keeps_old_bundle(
             for p in tmp_path.rglob("*") if p.is_file()} == data
 
 
+@pytest.mark.parametrize("method, flag, value", [
+    ("bp", "--beta", "3"), ("bp", "--ratio", "7"), ("bp", "--max-iters", "2"),
+    ("composite", "--beta", "3"), ("composite", "--max-iters", "2")])
+def test_reconstruct_refuses_overrides_the_method_ignores(
+        bundle, tmp_path, capsys, monkeypatch, method, flag, value):
+    # bp solves nothing and composite has no beta or outer loop, so these
+    # overrides would only be echoed into manifest.txt
+    def no_load(*_args, **_kwargs):
+        raise AssertionError("loaded the bundle before checking overrides")
+
+    monkeypatch.setattr(cli, "load_bundle", no_load)
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(bundle), "--method", method,
+                 "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"--method {method} does not use {flag}" in err
+    assert not out.exists()
+
+
 def test_sweep_rejects_bad_point_before_solving(bundle, tmp_path, capsys,
                                                 monkeypatch):
     def no_solve(*_args, **_kwargs):
@@ -563,25 +606,109 @@ def test_sweep_rejects_bad_point_before_solving(bundle, tmp_path, capsys,
     assert not out.exists()
 
 
+_SWEEP_BUNDLE = ["best.txt", "manifest.txt", "sweep.csv"]
+
+
 def test_sweep_creates_missing_out_parent(bundle, tmp_path):
-    out = tmp_path / "nodir" / "t.csv"
+    out = tmp_path / "nodir" / "sweep"
     assert main(["sweep", "--config", str(bundle), "--method", "cadmm",
                  "--beta", "5", "--ratio", "5", "--out", str(out)]) == 0
-    assert out.exists() and out.with_name("t_best.txt").exists()
+    assert sorted(p.name for p in out.iterdir()) == _SWEEP_BUNDLE
+
+
+def _no_solve(*_args, **_kwargs):
+    raise AssertionError("solved before checking --out")
 
 
 def test_sweep_out_directory_exits_2_before_solving(bundle, tmp_path, capsys,
                                                     monkeypatch):
-    def no_solve(*_args, **_kwargs):
-        raise AssertionError("solved before checking --out")
-
-    monkeypatch.setattr(cli.solvers, "run", no_solve)
+    # a directory holding a file that is not part of a sweep bundle
+    monkeypatch.setattr(cli.solvers, "run", _no_solve)
     out = tmp_path / "table"
     out.mkdir()
+    (out / "notes.txt").write_text("keep me\n")
     assert main(["sweep", "--config", str(bundle), "--method", "cadmm",
                  "--beta", "5", "--ratio", "5", "--out", str(out)]) == 2
-    assert "is a directory" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert "refusing to replace" in capsys.readouterr().err
+    assert _snapshot(out) == {"notes.txt": b"keep me\n"}
+
+
+@pytest.mark.parametrize("target", ["measurements", "file", "result",
+                                    "scenario", "cwd"])
+def test_sweep_refuses_to_replace_other_paths(bundle, tmp_path, capsys,
+                                              monkeypatch, target):
+    # --out names a sweep bundle that replaces it whole, so anything but an
+    # absent path, an empty directory or an earlier sweep bundle is refused
+    # before the first solve, and the tree is left as it was
+    cmd_reconstruct(bundle, "cadmm")
+    out = {"measurements": bundle / "meas_q00.csv",
+           "file": tmp_path / "table.csv", "result": bundle / "recon_cadmm",
+           "scenario": bundle, "cwd": Path(".")}[target]
+    if target == "file":
+        out.write_text("keep me\n")
+    elif target == "cwd":
+        monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.solvers, "run", _no_solve)
+    tree = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    data = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(["sweep", "--config", str(bundle), "--method", "cadmm",
+                 "--beta", "5", "--ratio", "5", "--out", str(out)]) == 2
+    assert "refusing to replace" in capsys.readouterr().err
+    assert sorted(str(p.relative_to(tmp_path))
+                  for p in tmp_path.rglob("*")) == tree
+    assert all(p.read_bytes() == b for p, b in data.items())
+
+
+def test_sweep_replaces_an_earlier_sweep_bundle_whole(bundle, tmp_path):
+    out = tmp_path / "sweep"
+    cmd_sweep(bundle, "cadmm", [2.0, 5.0], [5.0], out)
+    (out / "best.txt").unlink()
+    (out / "sweep.csv").write_text("old\n")
+    assert cmd_sweep(bundle, "cadmm", [5.0], [5.0], out)[0] == out
+    assert sorted(p.name for p in out.iterdir()) == _SWEEP_BUNDLE
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("5.0,5.0,")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "exp.ini",
+                                                          "sweep"]
+
+
+def test_sweep_failed_write_keeps_old_bundle(bundle, tmp_path, capsys,
+                                             monkeypatch):
+    out = tmp_path / "sweep"
+    cmd_sweep(bundle, "cadmm", [2.0], [5.0], out)
+    before = _snapshot(out)
+    real_write_text = Path.write_text
+
+    def write_text(self, *args, **kwargs):
+        if self.name == "best.txt":
+            raise OSError("No space left on device")
+        return real_write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    assert main(["sweep", "--config", str(bundle), "--method", "cadmm",
+                 "--beta", "5", "--ratio", "5", "--out", str(out)]) == 4
+    assert "I/O error" in capsys.readouterr().err
+    assert _snapshot(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "exp.ini",
+                                                          "sweep"]
+
+
+def test_sweep_never_picks_an_empty_image(bundle, tmp_path):
+    # a ratio this large zeroes the image, whose entropy is the lowest there
+    # is; the pick is the nonempty image all the same
+    out, rows = cmd_sweep(bundle, "cadmm", [5.0], [5.0, 1e5], tmp_path / "s")
+    assert [r["sparsity"] > 0 for r in rows] == [True, False]
+    assert rows[1]["entropy"] < rows[0]["entropy"]
+    best = (out / "best.txt").read_text()
+    assert best.startswith("beta: 5.0\nratio: 5.0\n")
+    out, _ = cmd_sweep(bundle, "cadmm", [5.0], [1e5], tmp_path / "s")
+    assert (out / "best.txt").read_text() == (
+        "no sweep point with sparsity above 0 inside sparsity window "
+        "[0.0, 1.0]\n")
+    # the empty image's report gives its entropy as +0
+    result = cmd_reconstruct(bundle, "cadmm", tmp_path / "r", ratio=1e5)
+    assert "entropy_bits: 0.000000\nsparsity: 0.000000\n" in (
+        result / "report.txt").read_text()
 
 
 def test_reconstruct_unknown_method(bundle):
@@ -590,18 +717,25 @@ def test_reconstruct_unknown_method(bundle):
 
 
 def test_sweep_outputs(bundle, tmp_path):
-    out_path, rows = cmd_sweep(bundle, "cadmm", [2.0, 5.0], [5.0],
-                               tmp_path / "sweep.csv")
+    out, rows = cmd_sweep(bundle, "cadmm", [2.0, 5.0], [5.0],
+                          tmp_path / "sweep")
     assert len(rows) == 2
-    lines = out_path.read_text().splitlines()
+    assert sorted(p.name for p in out.iterdir()) == _SWEEP_BUNDLE
+    lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "beta,ratio,sparsity,entropy,iterations,termination,wall_s"
     assert len(lines) == 3
-    best = out_path.with_name("sweep_best.txt")
-    assert best.exists()
+    assert (out / "best.txt").read_text().startswith("beta: ")
+    # the manifest opens with the provenance lines of the scenario's own
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert manifest[:2] == (bundle / "manifest.txt").read_text().splitlines()[:2]
+    assert manifest[2:] == [f"bundle: {bundle}", "method: cadmm", "seed: 5"]
+    # by default the sweep bundle goes into the scenario bundle
+    assert cmd_sweep(bundle, "cadmm", [5.0], [5.0])[0] == bundle / "sweep_cadmm"
     with pytest.raises(ConfigError):
         cmd_sweep(bundle, "cadmm", [], [1.0])
     with pytest.raises(ValueError, match="unknown method"):
-        cmd_sweep(bundle, "bogus", [2.0], [5.0], tmp_path / "bogus.csv")
+        cmd_sweep(bundle, "bogus", [2.0], [5.0], tmp_path / "bogus")
+    assert not (tmp_path / "bogus").exists()
 
 
 def test_metrics_command(bundle, config_file):

@@ -32,8 +32,11 @@ def test_normalized_sparsity_basic():
 
 
 def test_entropy_degenerate_images():
-    assert image_entropy(np.zeros(64)) == 0.0
-    assert image_entropy(np.full(64, 3.3)) == 0.0
+    # one gray level scores +0 bits, never -0, so reports print 0.000000
+    for image in (np.zeros(64), np.full(64, 3.3)):
+        entropy = image_entropy(image)
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+        assert f"{entropy:.6f}" == "0.000000"
     with pytest.raises(ValueError):
         image_entropy(np.array([-1.0, 2.0]))
 
