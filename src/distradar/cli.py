@@ -232,24 +232,35 @@ def build_scenario(cfg):
                                 sensing["snr_db"], cfg.seed)
 
 
-def _write_complex_csv(path, vec):
+def _write_complex_csv(path, values, indices):
+    """Write an `index,real,imag` row for each of `indices` (ascending) of
+    the complex vector `values`, in one piece. The bytes are those of
+    csv.writer with %.17g floats: no field needs quoting, lines end in \r\n."""
+    picked = values[indices]
+    rows = zip(indices.tolist(), picked.real.tolist(), picked.imag.tolist())
+    text = "".join(f"{i},{re:.17g},{im:.17g}\r\n" for i, re, im in rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "real", "imag"])
-        for i, v in enumerate(vec):
-            writer.writerow([i, f"{v.real:.17g}", f"{v.imag:.17g}"])
+        fh.write("index,real,imag\r\n" + text)
 
 
 def _read_complex_csv(path):
+    """The samples of a dense `index,real,imag` file, whose row i must be
+    sample i."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["index", "real", "imag"]:
             raise ConfigError(f"{path}: unexpected header {header}")
-        try:
-            values = [complex(float(r), float(im)) for _, r, im in reader]
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed row: {exc}") from exc
+        rows = list(reader)
+    try:
+        values = [complex(float(r), float(im)) for _, r, im in rows]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed row: {exc}") from exc
+    misplaced = next((k for k, row in enumerate(rows) if row[0] != str(k)),
+                     None)
+    if misplaced is not None:
+        raise ConfigError(f"{path}: line {misplaced + 2} has index "
+                          f"{rows[misplaced][0]!r}, expected {misplaced}")
     return np.array(values)
 
 
@@ -287,12 +298,16 @@ def cmd_simulate(config_path, out_dir=None, seed=None):
         lines.append(f"cluster_{h.cluster_id:02d}_realized_snr_db: {h.snr_db}")
 
     def write(tmp):
+        # a truth file lists its cluster's nonzero pixels only; every pixel
+        # it leaves out is 0
         truth_support = set()
-        for q in range(len(scenario.clusters)):
-            truth = simulate.rasterize_scene(scenario, q)
-            truth_support.update(np.flatnonzero(truth).tolist())
-            _write_complex_csv(tmp / f"truth_q{q:02d}.csv", truth)
-            _write_complex_csv(tmp / f"meas_q{q:02d}.csv", histories[q].data)
+        for h in histories:
+            nonzero = np.flatnonzero(h.truth)
+            truth_support.update(nonzero.tolist())
+            _write_complex_csv(tmp / f"truth_q{h.cluster_id:02d}.csv",
+                               h.truth, nonzero)
+            _write_complex_csv(tmp / f"meas_q{h.cluster_id:02d}.csv", h.data,
+                               np.arange(h.data.size))
         with open(tmp / "truth_support.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["pixel_index"])
@@ -377,25 +392,28 @@ def _with_overrides(solver_cfg, beta=None, ratio=None, max_iters=None):
                                   if value is not None})
 
 
-# the overrides that a method has no use for: bp solves nothing, and
-# composite runs FISTA with the config's lambda and no outer loop
-_UNUSED_OVERRIDES = {"bp": ("--beta", "--ratio", "--max-iters"),
+# the overrides that a method has no use for: bp solves nothing on no
+# pool, and composite runs FISTA with the config's lambda and no outer loop
+_UNUSED_OVERRIDES = {"bp": ("--beta", "--ratio", "--max-iters", "--threads"),
                      "composite": ("--beta", "--max-iters")}
 
 
 def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
-                    max_iters=None, threads=1):
-    """Run one reconstruction method on a bundle and write a result bundle."""
+                    max_iters=None, threads=None):
+    """Run one reconstruction method on a bundle and write a result bundle;
+    the methods that run a pool run it on one thread unless told more."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    overrides = {"--beta": beta, "--ratio": ratio, "--max-iters": max_iters}
+    overrides = {"--beta": beta, "--ratio": ratio, "--max-iters": max_iters,
+                 "--threads": threads}
     unused = [flag for flag in _UNUSED_OVERRIDES.get(method, ())
               if overrides[flag] is not None]
     if unused:
         raise ConfigError(f"--method {method} does not use "
                           f"{', '.join(unused)}")
+    threads = 1 if threads is None else threads
     out = Path(os.path.abspath(out_dir if out_dir is not None else
                                Path(bundle_path) / f"recon_{method}"))
     _check_replaceable(out, _RESULT)
@@ -430,7 +448,8 @@ _SCENARIO, _RESULT, _SWEEP = "scenario", "result", "sweep"
 _FLAT_FILES = {
     _RESULT: frozenset({"image.csv", "image.pgm", "wall_s.txt", "report.txt",
                         "convergence.csv", "timing.csv", "manifest.txt"}),
-    _SWEEP: frozenset({"sweep.csv", "best.txt", "manifest.txt"})}
+    _SWEEP: frozenset({"sweep.csv", "best.txt", "timing.csv",
+                       "manifest.txt"})}
 # a scenario bundle's own files
 _SCENARIO_FILE = re.compile(r"config\.ini|manifest\.txt|truth_support\.csv"
                             r"|(truth|meas)_q\d{2,}\.csv")
@@ -546,7 +565,8 @@ def _write_result(out, bundle_path, method, cfg, solver_cfg, image, result,
 
 
 def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_dir=None):
-    """Grid sweep over (beta, lambda/mu) into a sweep bundle: table and pick.
+    """Grid sweep over (beta, lambda/mu) into a sweep bundle: table, pick
+    and wall times.
 
     The pick is the lowest-entropy row whose sparsity is above 0 and inside
     the configured sparsity window, so an empty image is never picked.
@@ -562,10 +582,11 @@ def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_dir=None):
               for beta in beta_list for ratio in ratio_list]
     folded = _fold_phase_matrices(operators, measurements)
     rows = []
+    wall_s = []
     for beta, ratio, solver_cfg in points:
         t0 = time.perf_counter()
         result = solvers.run(method, folded, measurements, solver_cfg)
-        wall_s = time.perf_counter() - t0
+        wall_s.append(time.perf_counter() - t0)
         scores = score_image(result.state.global_image, cfg.grid.nx, cfg)
         rows.append({
             "beta": beta,
@@ -574,7 +595,6 @@ def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_dir=None):
             "entropy": scores["entropy_bits"],
             "iterations": result.state.iter,
             "termination": result.termination,
-            "wall_s": wall_s,
         })
     lo, hi = cfg.sparsity_window
     eligible = [r for r in rows
@@ -593,6 +613,13 @@ def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_dir=None):
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
+        # wall times live in timing.csv, as in a result bundle, so that
+        # sweep.csv and best.txt are reproducible byte for byte
+        with open(tmp / "timing.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["beta", "ratio", "wall_s"])
+            writer.writerows([row["beta"], row["ratio"], f"{seconds:.3f}"]
+                             for row, seconds in zip(rows, wall_s))
         (tmp / "best.txt").write_text(best_text)
         (tmp / "manifest.txt").write_text("\n".join(manifest) + "\n")
 

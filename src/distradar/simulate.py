@@ -65,12 +65,14 @@ class SimScenario:
 
 @dataclass(frozen=True)
 class PhaseHistory:
-    """Per-cluster complex measurement vector plus noise metadata."""
+    """Per-cluster complex measurement vector plus noise metadata, and the
+    reflectivity raster (rasterize_scene) the measurements were made of."""
 
     cluster_id: int
     data: np.ndarray  # complex, length W*M
     noise_norm: float
     snr_db: float
+    truth: np.ndarray  # complex, length n_pixels
 
 
 def rasterize_scene(scenario, cluster_id):
@@ -115,9 +117,10 @@ def synthesize_measurements(scenario):
     out = []
     for q, cluster in enumerate(scenario.clusters):
         op = make_operator(scenario.grid, cluster)
-        clean = op.apply(rasterize_scene(scenario, q))
+        truth = rasterize_scene(scenario, q)
+        clean = op.apply(truth)
         if math.isinf(scenario.snr_db):
-            out.append(PhaseHistory(q, clean, 0.0, scenario.snr_db))
+            out.append(PhaseHistory(q, clean, 0.0, scenario.snr_db, truth))
             continue
         signal_norm = np.linalg.norm(clean)
         if signal_norm == 0:
@@ -129,7 +132,7 @@ def synthesize_measurements(scenario):
         target_norm = signal_norm / 10 ** (scenario.snr_db / 20)
         noise *= target_norm / np.linalg.norm(noise)
         out.append(PhaseHistory(q, clean + noise, float(np.linalg.norm(noise)),
-                                scenario.snr_db))
+                                scenario.snr_db, truth))
     return out
 
 

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ from distradar.cli import (ConfigError, build_scenario, cmd_metrics,
                            cmd_reconstruct, cmd_simulate, cmd_sweep,
                            load_bundle, load_config, main)
 from distradar.metrics import load_image_csv
+from distradar.simulate import rasterize_scene
 
 BASE_CONFIG = """\
 [scene]
@@ -282,6 +284,78 @@ def test_simulate_refuses_to_replace_other_directories(
     assert all(p.read_bytes() == b for p, b in data.items())
 
 
+def _csv_module_complex_csv(path, values, indices):
+    # the writer that the bundle files were first written with, row by row
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "real", "imag"])
+        for i in indices.tolist():
+            writer.writerow([i, f"{values[i].real:.17g}",
+                             f"{values[i].imag:.17g}"])
+
+
+def test_complex_csv_writer_matches_csv_module(tmp_path):
+    values = np.array([complex(-0.0, 5e-324), complex(1e308, -1e308),
+                       complex(3.0, -0.0), complex(2.0 ** 53, 0.1), 0j,
+                       complex(-5e-324, 1 / 3), complex(-7.0, 1e-308)])
+    for indices in (np.arange(values.size), np.flatnonzero(values),
+                    np.array([], dtype=int)):
+        cli._write_complex_csv(tmp_path / "new.csv", values, indices)
+        _csv_module_complex_csv(tmp_path / "old.csv", values, indices)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+
+def _read_truth_file(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "real", "imag"]
+    return ([int(i) for i, _, _ in rows[1:]],
+            [complex(float(r), float(im)) for _, r, im in rows[1:]])
+
+
+def test_truth_files_list_the_nonzero_pixels(tmp_path):
+    # both scatterers face cluster 0 only, so cluster 1 sees an empty scene
+    path = tmp_path / "c.ini"
+    path.write_text(BASE_CONFIG.replace(
+        "num_scatterers = 3\namplitude = 1.0\nmargin = 0.2",
+        "scatterers =\n    0.5 -0.5 2.0 90.0 0.0 90.0\n"
+        "    -1.0 1.0 1.0 30.0 0.0 90.0").replace("snr_db = 20.0",
+                                                 "snr_db = inf"))
+    out = cmd_simulate(path, tmp_path / "b")
+    scenario = build_scenario(load_config(path))
+    support = set()
+    for q in range(2):
+        raster = rasterize_scene(scenario, q)
+        nonzero = np.flatnonzero(raster)
+        indices, values = _read_truth_file(out / f"truth_q{q:02d}.csv")
+        assert indices == nonzero.tolist()
+        assert values == raster[nonzero].tolist()
+        # expanded by index, the file is the raster
+        dense = np.zeros(scenario.grid.n_pixels, dtype=complex)
+        dense[indices] = values
+        np.testing.assert_array_equal(dense, raster)
+        support.update(indices)
+    assert len(support) == 2
+    assert (out / "truth_q01.csv").read_bytes() == b"index,real,imag\r\n"
+    assert (out / "truth_support.csv").read_text().split() == [
+        "pixel_index"] + [str(i) for i in sorted(support)]
+
+
+def test_simulate_rasterizes_each_cluster_once(config_file, tmp_path,
+                                                monkeypatch):
+    calls = []
+    real = cli.simulate.rasterize_scene
+
+    def counting(scenario, cluster_id):
+        calls.append(cluster_id)
+        return real(scenario, cluster_id)
+
+    monkeypatch.setattr(cli.simulate, "rasterize_scene", counting)
+    cmd_simulate(config_file, tmp_path / "b")
+    assert calls == [0, 1]
+
+
 def test_load_bundle_roundtrip(bundle):
     cfg, ops, meas, truth_support = load_bundle(bundle)
     assert len(ops) == 2 and len(meas) == 2
@@ -335,6 +409,7 @@ def test_removed_scene_and_output_keys_rejected(tmp_path, capsys, section,
     ("empty", 2),  # no header, no rows
     ("short", 2),  # a row missing: wrong length
     ("cut_row", 2),  # file cut inside its last row
+    ("swapped_rows", 2),  # samples out of index order
 ])
 @pytest.mark.parametrize("method", ["cadmm", "sadmm", "bp", "composite"])
 def test_reconstruct_bad_measurements_leave_no_output(bundle, tmp_path, capsys,
@@ -347,6 +422,8 @@ def test_reconstruct_bad_measurements_leave_no_output(bundle, tmp_path, capsys,
         lines = lines[:-1]
     elif corruption == "empty":
         lines = []
+    elif corruption == "swapped_rows":
+        lines[1], lines[2] = lines[2], lines[1]
     else:
         lines[-1] = lines[-1].rsplit(",", 1)[0]
     path.write_text("".join(line + "\n" for line in lines))
@@ -576,11 +653,12 @@ def test_reconstruct_bad_override_exits_2_and_keeps_old_bundle(
 
 @pytest.mark.parametrize("method, flag, value", [
     ("bp", "--beta", "3"), ("bp", "--ratio", "7"), ("bp", "--max-iters", "2"),
-    ("composite", "--beta", "3"), ("composite", "--max-iters", "2")])
+    ("bp", "--threads", "2"), ("composite", "--beta", "3"),
+    ("composite", "--max-iters", "2")])
 def test_reconstruct_refuses_overrides_the_method_ignores(
         bundle, tmp_path, capsys, monkeypatch, method, flag, value):
-    # bp solves nothing and composite has no beta or outer loop, so these
-    # overrides would only be echoed into manifest.txt
+    # bp solves nothing on no pool and composite has no beta or outer loop,
+    # so these overrides would be ignored or only echoed into manifest.txt
     def no_load(*_args, **_kwargs):
         raise AssertionError("loaded the bundle before checking overrides")
 
@@ -606,7 +684,7 @@ def test_sweep_rejects_bad_point_before_solving(bundle, tmp_path, capsys,
     assert not out.exists()
 
 
-_SWEEP_BUNDLE = ["best.txt", "manifest.txt", "sweep.csv"]
+_SWEEP_BUNDLE = ["best.txt", "manifest.txt", "sweep.csv", "timing.csv"]
 
 
 def test_sweep_creates_missing_out_parent(bundle, tmp_path):
@@ -722,8 +800,13 @@ def test_sweep_outputs(bundle, tmp_path):
     assert len(rows) == 2
     assert sorted(p.name for p in out.iterdir()) == _SWEEP_BUNDLE
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "beta,ratio,sparsity,entropy,iterations,termination,wall_s"
+    assert lines[0] == "beta,ratio,sparsity,entropy,iterations,termination"
     assert len(lines) == 3
+    # the wall times are in timing.csv, one row per sweep.csv row
+    timing = (out / "timing.csv").read_text().splitlines()
+    assert timing[0] == "beta,ratio,wall_s"
+    assert [t.rsplit(",", 1)[0] for t in timing[1:]] == ["2.0,5.0", "5.0,5.0"]
+    assert all(float(t.rsplit(",", 1)[1]) >= 0 for t in timing[1:])
     assert (out / "best.txt").read_text().startswith("beta: ")
     # the manifest opens with the provenance lines of the scenario's own
     manifest = (out / "manifest.txt").read_text().splitlines()
@@ -736,6 +819,13 @@ def test_sweep_outputs(bundle, tmp_path):
     with pytest.raises(ValueError, match="unknown method"):
         cmd_sweep(bundle, "bogus", [2.0], [5.0], tmp_path / "bogus")
     assert not (tmp_path / "bogus").exists()
+
+
+def test_sweep_bundle_is_reproducible(bundle, tmp_path):
+    a, _ = cmd_sweep(bundle, "cadmm", [2.0, 5.0], [5.0, 50.0], tmp_path / "a")
+    b, _ = cmd_sweep(bundle, "cadmm", [2.0, 5.0], [5.0, 50.0], tmp_path / "b")
+    for name in ("sweep.csv", "best.txt"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_metrics_command(bundle, config_file):

@@ -79,8 +79,9 @@ def test_noiseless_measurements_match_forward_model():
         assert h.cluster_id == q
         assert h.noise_norm == 0.0
         op = make_operator(scn.grid, scn.clusters[q])
-        np.testing.assert_array_equal(h.data,
-                                      op.apply(rasterize_scene(scn, q)))
+        # the history carries the raster its measurements were made of
+        np.testing.assert_array_equal(h.truth, rasterize_scene(scn, q))
+        np.testing.assert_array_equal(h.data, op.apply(h.truth))
 
 
 def test_snr_is_exact_per_realization():
