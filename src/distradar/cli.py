@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
 
 import argparse
 import configparser
-import csv
 import inspect
 import io
 import math
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, model, simulate, solvers
+from . import __version__, metrics, model, simulate, solvers, tables
 
 DEG = math.pi / 180.0
 ADMM_METHODS = (solvers.CADMM, solvers.SADMM)
@@ -104,9 +103,7 @@ _KEYS = {
         "f1_threshold": (float, _keyword_default(metrics.support_f1,
                                                  "rel_threshold")),
         "match_radius_px": (int, _keyword_default(metrics.support_f1,
-                                                  "match_radius_px")),
-        "sparsity_window_min": (float, 0.0),
-        "sparsity_window_max": (float, 1.0)},
+                                                  "match_radius_px"))},
     "output": {"directory": (str, "out")},
 }
 # the [scene] keys of a random scene, which an explicit scatterer list leaves
@@ -131,12 +128,11 @@ def _read_section(parser, name):
 
 @dataclass
 class MetricsConfig:
-    """The [metrics] section: how images are scored and sweeps picked."""
+    """The [metrics] section: how images are scored."""
     entropy_cfg: metrics.EntropyConfig
     sparsity_threshold: float
     f1_threshold: float
     match_radius_px: int
-    sparsity_window: tuple
 
     @classmethod
     def from_parser(cls, parser):
@@ -144,8 +140,7 @@ class MetricsConfig:
         entropy_cfg = metrics.EntropyConfig(
             **{f.name: m[f.name] for f in _ENTROPY})
         return cls(entropy_cfg, m["sparsity_threshold"], m["f1_threshold"],
-                   m["match_radius_px"],
-                   (m["sparsity_window_min"], m["sparsity_window_max"]))
+                   m["match_radius_px"])
 
 
 @dataclass
@@ -234,24 +229,17 @@ def build_scenario(cfg):
 
 def _write_complex_csv(path, values, indices):
     """Write an `index,real,imag` row for each of `indices` (ascending) of
-    the complex vector `values`, in one piece. The bytes are those of
-    csv.writer with %.17g floats: no field needs quoting, lines end in \r\n."""
+    the complex vector `values`."""
     picked = values[indices]
     rows = zip(indices.tolist(), picked.real.tolist(), picked.imag.tolist())
-    text = "".join(f"{i},{re:.17g},{im:.17g}\r\n" for i, re, im in rows)
-    with open(path, "w", newline="") as fh:
-        fh.write("index,real,imag\r\n" + text)
+    tables.write_table(path, ["index", "real", "imag"], (
+        (str(i), f"{re:.17g}", f"{im:.17g}") for i, re, im in rows))
 
 
 def _read_complex_csv(path):
     """The samples of a dense `index,real,imag` file, whose row i must be
     sample i."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "real", "imag"]:
-            raise ConfigError(f"{path}: unexpected header {header}")
-        rows = list(reader)
+    rows = tables.read_table(path, ["index", "real", "imag"])
     try:
         values = [complex(float(r), float(im)) for _, r, im in rows]
     except ValueError as exc:
@@ -308,14 +296,11 @@ def cmd_simulate(config_path, out_dir=None, seed=None):
                                h.truth, nonzero)
             _write_complex_csv(tmp / f"meas_q{h.cluster_id:02d}.csv", h.data,
                                np.arange(h.data.size))
-        with open(tmp / "truth_support.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pixel_index"])
-            writer.writerows([idx] for idx in sorted(truth_support))
+        tables.write_table(tmp / "truth_support.csv", ["pixel_index"],
+                           ([str(idx)] for idx in sorted(truth_support)))
         (tmp / "config.ini").write_text(config_text)
-        (tmp / "manifest.txt").write_text("\n".join(lines) + "\n")
 
-    _write_atomically(out, _SCENARIO, write)
+    _write_atomically(out, _SCENARIO, lines, write)
     return out
 
 
@@ -348,12 +333,9 @@ def load_bundle(bundle_path):
 def _read_truth_support(path, n_pixels):
     """Pixel indices of a truth_support.csv, as cmd_simulate writes it,
     each checked to lie in [0, n_pixels)."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if rows[:1] != [["pixel_index"]]:
-        raise ConfigError(f"{path}: no 'pixel_index' header")
+    rows = tables.read_table(path, ["pixel_index"])
     try:
-        indices = [int(row[0]) for row in rows[1:]]
+        indices = [int(row[0]) for row in rows if row]
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed row: {exc}") from exc
     for index in indices:
@@ -370,14 +352,14 @@ def _fold_phase_matrices(operators, measurements):
 
 def score_image(image, nx, scoring, truth_support=None):
     """Entropy and sparsity of a flat image of row length nx, plus support
-    precision, recall and F1 given a truth support, in report.txt order;
-    scoring is a MetricsConfig (an ExperimentConfig is one)."""
+    precision, recall and F1 given a nonempty truth support, in report.txt
+    order; scoring is a MetricsConfig (an ExperimentConfig is one)."""
     scores = {
         "entropy_bits": metrics.image_entropy(image, scoring.entropy_cfg),
         "sparsity": metrics.normalized_sparsity(image,
                                                 scoring.sparsity_threshold),
     }
-    if truth_support is not None:
+    if truth_support:
         scores.update(zip(("precision", "recall", "f1"), metrics.support_f1(
             image, truth_support, nx, scoring.f1_threshold,
             scoring.match_radius_px)))
@@ -437,9 +419,45 @@ def cmd_reconstruct(bundle_path, method, out_dir=None, beta=None, ratio=None,
             image = result.state.global_image
             status = (result.termination, result.state.iter)
     wall_s = time.perf_counter() - t_start
-    _write_atomically(out, _RESULT, lambda tmp: _write_result(
-        tmp, bundle_path, method, cfg, solver_cfg, image, result, status,
-        truth_support, wall_s))
+    scores = score_image(image, cfg.grid.nx, cfg, truth_support)
+    report = [
+        f"method: {method}",
+        f"termination: {status[0]}",
+        f"iterations: {status[1]}",
+    ] + [f"{key}: {value:.6f}" for key, value in scores.items()]
+    manifest = _PROVENANCE + [
+        f"bundle: {bundle_path}",
+        f"method: {method}",
+        f"beta: {solver_cfg.beta}",
+        f"lambda: {solver_cfg.lam}",
+        f"mu: {solver_cfg.mu}",
+        f"max_outer_iters: {solver_cfg.max_outer_iters}",
+        f"seed: {cfg.seed}",
+    ]
+
+    def write(tmp):
+        metrics.export_image(image, cfg.grid, tmp / "image.csv", "csv")
+        metrics.export_image(image, cfg.grid, tmp / "image.pgm", "pgm",
+                             cfg.entropy_cfg)
+        # wall times live in timing files so convergence.csv, report.txt,
+        # and the images are run-to-run reproducible byte for byte
+        (tmp / "wall_s.txt").write_text(f"{wall_s:.3f}\n")
+        if result is not None:
+            log = result.state.residual_log
+            tables.write_table(
+                tmp / "convergence.csv",
+                ["iter", "primal_res", "dual_res", "eps_pri", "eps_dual",
+                 "objective"],
+                ((str(rec.iteration), f"{rec.primal_norm:.17g}",
+                  f"{rec.dual_norm:.17g}", f"{rec.eps_pri:.17g}",
+                  f"{rec.eps_dual:.17g}", f"{obj:.17g}")
+                 for rec, obj in zip(log, result.objective_history)))
+            tables.write_table(tmp / "timing.csv", ["iter", "wall_ms"],
+                               ((str(rec.iteration), f"{rec.wall_ms:.3f}")
+                                for rec in log))
+        (tmp / "report.txt").write_text("\n".join(report) + "\n")
+
+    _write_atomically(out, _RESULT, manifest, write)
     return out
 
 
@@ -490,9 +508,10 @@ def _check_replaceable(out, kind):
                           f"are not part of a {kind} bundle")
 
 
-def _write_atomically(out, kind, write):
-    """Have write(tmp) fill a temporary sibling of `out` (absolute), then
-    rename it into place, replacing an earlier bundle of `kind` whole.
+def _write_atomically(out, kind, manifest, write):
+    """Have write(tmp) fill a temporary sibling of `out` (absolute), write
+    the `manifest` lines into its manifest.txt, then rename it into place,
+    replacing an earlier bundle of `kind` whole.
 
     A failed write or rename leaves neither a partial bundle nor a
     half-replaced old one, and the old bundle stays as it was.
@@ -503,6 +522,7 @@ def _write_atomically(out, kind, write):
     tmp.mkdir()
     try:
         write(tmp)
+        (tmp / "manifest.txt").write_text("\n".join(manifest) + "\n")
         _check_replaceable(out, kind)  # again: it may have appeared since
         if out.exists():
             old = out.with_name(f".{out.name}.old-{os.getpid()}")
@@ -521,55 +541,12 @@ def _write_atomically(out, kind, write):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _write_result(out, bundle_path, method, cfg, solver_cfg, image, result,
-                  status, truth_support, wall_s):
-    metrics.export_image(image, cfg.grid, out / "image.csv", "csv")
-    metrics.export_image(image, cfg.grid, out / "image.pgm", "pgm",
-                         cfg.entropy_cfg)
-    # wall times live in timing files so convergence.csv, report.txt, and
-    # the images are run-to-run reproducible byte for byte
-    (out / "wall_s.txt").write_text(f"{wall_s:.3f}\n")
-    if result is not None:
-        with open(out / "convergence.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "primal_res", "dual_res", "eps_pri",
-                             "eps_dual", "objective"])
-            for rec, obj in zip(result.state.residual_log,
-                                result.objective_history):
-                writer.writerow([rec.iteration, f"{rec.primal_norm:.17g}",
-                                 f"{rec.dual_norm:.17g}", f"{rec.eps_pri:.17g}",
-                                 f"{rec.eps_dual:.17g}", f"{obj:.17g}"])
-        with open(out / "timing.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "wall_ms"])
-            for rec in result.state.residual_log:
-                writer.writerow([rec.iteration, f"{rec.wall_ms:.3f}"])
-    # a bundle without truth pixels is scored without F1
-    scores = score_image(image, cfg.grid.nx, cfg, truth_support or None)
-    report = [
-        f"method: {method}",
-        f"termination: {status[0]}",
-        f"iterations: {status[1]}",
-    ] + [f"{key}: {value:.6f}" for key, value in scores.items()]
-    (out / "report.txt").write_text("\n".join(report) + "\n")
-    manifest = _PROVENANCE + [
-        f"bundle: {bundle_path}",
-        f"method: {method}",
-        f"beta: {solver_cfg.beta}",
-        f"lambda: {solver_cfg.lam}",
-        f"mu: {solver_cfg.mu}",
-        f"max_outer_iters: {solver_cfg.max_outer_iters}",
-        f"seed: {cfg.seed}",
-    ]
-    (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
-
-
 def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_dir=None):
     """Grid sweep over (beta, lambda/mu) into a sweep bundle: table, pick
     and wall times.
 
-    The pick is the lowest-entropy row whose sparsity is above 0 and inside
-    the configured sparsity window, so an empty image is never picked.
+    The pick is the lowest-entropy row whose sparsity is above 0, so an
+    empty image is never picked.
     """
     if not beta_list or not ratio_list:
         raise ConfigError("sweep requires non-empty beta and ratio lists")
@@ -596,34 +573,26 @@ def cmd_sweep(bundle_path, method, beta_list, ratio_list, out_dir=None):
             "iterations": result.state.iter,
             "termination": result.termination,
         })
-    lo, hi = cfg.sparsity_window
-    eligible = [r for r in rows
-                if r["sparsity"] > 0 and lo <= r["sparsity"] <= hi]
+    eligible = [r for r in rows if r["sparsity"] > 0]
     if eligible:
         best = min(eligible, key=lambda r: r["entropy"])
         best_text = "".join(f"{k}: {v}\n" for k, v in best.items())
     else:
-        best_text = (f"no sweep point with sparsity above 0 inside "
-                     f"sparsity window [{lo}, {hi}]\n")
+        best_text = "no sweep point with sparsity above 0\n"
     manifest = _PROVENANCE + [f"bundle: {bundle_path}", f"method: {method}",
                               f"seed: {cfg.seed}"]
 
     def write(tmp):
-        with open(tmp / "sweep.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        tables.write_table(tmp / "sweep.csv", list(rows[0]),
+                           (map(str, row.values()) for row in rows))
         # wall times live in timing.csv, as in a result bundle, so that
         # sweep.csv and best.txt are reproducible byte for byte
-        with open(tmp / "timing.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["beta", "ratio", "wall_s"])
-            writer.writerows([row["beta"], row["ratio"], f"{seconds:.3f}"]
-                             for row, seconds in zip(rows, wall_s))
+        tables.write_table(tmp / "timing.csv", ["beta", "ratio", "wall_s"],
+                           ((str(r["beta"]), str(r["ratio"]), f"{t:.3f}")
+                            for r, t in zip(rows, wall_s)))
         (tmp / "best.txt").write_text(best_text)
-        (tmp / "manifest.txt").write_text("\n".join(manifest) + "\n")
 
-    _write_atomically(out, _SWEEP, write)
+    _write_atomically(out, _SWEEP, manifest, write)
     return out, rows
 
 

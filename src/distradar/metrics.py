@@ -1,9 +1,10 @@
 """Image-quality and recovery metrics plus image export helpers."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import tables
 
 
 @dataclass(frozen=True)
@@ -147,11 +148,9 @@ def export_image(image, grid, path, fmt="pgm", entropy_cfg=EntropyConfig()):
                 fh.write(f"P5\n{grid.nx} {grid.ny}\n255\n".encode("ascii"))
                 fh.write(levels.tobytes())
         elif fmt == "csv":
-            rows = image.reshape(grid.ny, grid.nx)
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                for row in rows:
-                    writer.writerow([f"{v:.17g}" for v in row])
+            rows = image.reshape(grid.ny, grid.nx).tolist()
+            tables.write_table(path, None,
+                               ([f"{v:.17g}" for v in row] for row in rows))
         else:
             raise ValueError(f"unknown format {fmt!r}")
     except OSError as exc:
@@ -165,10 +164,11 @@ def load_image_csv(path):
     unequal length, a value that is not a number or a non-finite value.
     """
     try:
-        with open(path, newline="") as fh:
-            rows = [[float(v) for v in row] for row in csv.reader(fh) if row]
+        lines = tables.read_table(path)
     except OSError as exc:
         raise OSError(f"failed reading image from {path}: {exc}") from exc
+    try:
+        rows = [[float(v) for v in row] for row in lines if row]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if not rows:

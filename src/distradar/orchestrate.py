@@ -8,10 +8,9 @@ messages of that schedule, replays them as a per-iteration trace of a
 run, and accounts for its payload volume.
 """
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
-from . import solvers
+from . import solvers, tables
 from .solvers import CADMM, SADMM
 
 UPLINK = "uplink"
@@ -79,10 +78,6 @@ def run_message_passing(method, operators, measurements, cfg):
 
 
 def export_trace(trace, path):
-    """Write the message trace as CSV: iter,direction,sender,payload_kind,payload_len."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "direction", "sender", "payload_kind", "payload_len"])
-        for r in trace:
-            writer.writerow([r.iter, r.direction, r.sender, r.payload_kind,
-                             r.payload_len])
+    """Write the message trace as a table: iter,direction,sender,payload_kind,payload_len."""
+    tables.write_table(path, [f.name for f in fields(MessageRecord)],
+                       (map(str, astuple(r)) for r in trace))

@@ -410,6 +410,11 @@ def test_removed_scene_and_output_keys_rejected(tmp_path, capsys, section,
     ("short", 2),  # a row missing: wrong length
     ("cut_row", 2),  # file cut inside its last row
     ("swapped_rows", 2),  # samples out of index order
+    ("no_header", 2),  # the rows without their header line
+    ("wrong_header", 2),
+    ("blank_line", 2),  # an extra blank line between two rows
+    ("not_a_number", 2),
+    ("not_utf8", 2),  # a byte that is not UTF-8 after the last row
 ])
 @pytest.mark.parametrize("method", ["cadmm", "sadmm", "bp", "composite"])
 def test_reconstruct_bad_measurements_leave_no_output(bundle, tmp_path, capsys,
@@ -424,9 +429,19 @@ def test_reconstruct_bad_measurements_leave_no_output(bundle, tmp_path, capsys,
         lines = []
     elif corruption == "swapped_rows":
         lines[1], lines[2] = lines[2], lines[1]
-    else:
+    elif corruption == "no_header":
+        lines = lines[1:]
+    elif corruption == "wrong_header":
+        lines[0] = "index,re,im"
+    elif corruption == "blank_line":
+        lines.insert(2, "")
+    elif corruption == "not_a_number":
+        lines[2] = "1,x,0"
+    elif corruption == "cut_row":
         lines[-1] = lines[-1].rsplit(",", 1)[0]
     path.write_text("".join(line + "\n" for line in lines))
+    if corruption == "not_utf8":
+        path.write_bytes(path.read_bytes() + b"\xff\n")
     out = tmp_path / "out"
     assert main(["reconstruct", "--config", str(bundle), "--method", method,
                  "--out", str(out)]) == code
@@ -781,8 +796,7 @@ def test_sweep_never_picks_an_empty_image(bundle, tmp_path):
     assert best.startswith("beta: 5.0\nratio: 5.0\n")
     out, _ = cmd_sweep(bundle, "cadmm", [5.0], [1e5], tmp_path / "s")
     assert (out / "best.txt").read_text() == (
-        "no sweep point with sparsity above 0 inside sparsity window "
-        "[0.0, 1.0]\n")
+        "no sweep point with sparsity above 0\n")
     # the empty image's report gives its entropy as +0
     result = cmd_reconstruct(bundle, "cadmm", tmp_path / "r", ratio=1e5)
     assert "entropy_bits: 0.000000\nsparsity: 0.000000\n" in (
@@ -902,11 +916,45 @@ def test_metrics_bad_image_csv_exits_2(tmp_path, capsys, recwarn, text,
 def test_metrics_bad_truth_file_exits_2(bundle, tmp_path, capsys):
     out = cmd_reconstruct(bundle, "bp")
     truth = tmp_path / "truth.csv"
-    # an empty file, then indices outside the 64-pixel image: refused, not
-    # scored as misses
-    for text in ("", "pixel_index\n999\n", "pixel_index\n-3\n"):
+    # an empty file, indices without their header, then indices outside
+    # the 64-pixel image: refused, not scored as misses
+    for text in ("", "3\n5\n", "pixel_index\n999\n", "pixel_index\n-3\n"):
         truth.write_text(text)
         capsys.readouterr()
         assert main(["metrics", "--image", str(out / "image.csv"),
                      "--truth", str(truth)]) == 2
         assert "truth.csv" in capsys.readouterr().err
+
+
+def test_metrics_reads_image_csv_with_trailing_blank_lines(bundle, capsys):
+    out = cmd_reconstruct(bundle, "bp")
+    image = out / "image.csv"
+    expected = cmd_metrics(image)
+    image.write_text(image.read_text() + "\n\n")
+    capsys.readouterr()
+    assert main(["metrics", "--image", str(image)]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"{key}: {value}\n" for key, value in expected.items())
+
+
+def test_metrics_agrees_with_report_on_an_empty_truth(tmp_path, capsys):
+    # the only scatterer faces 90 degrees, away from both clusters (at 0 and
+    # 180 degrees), so no cluster sees it and truth_support.csv holds its
+    # header alone; report.txt and `metrics --truth` then both score
+    # without F1
+    path = tmp_path / "c.ini"
+    path.write_text(BASE_CONFIG.replace(
+        "num_scatterers = 3\namplitude = 1.0\nmargin = 0.2",
+        "scatterers =\n    0.5 -0.5 1.0 0.0 90.0 10.0").replace(
+            "snr_db = 20.0", "snr_db = inf"))
+    bundle = cmd_simulate(path, tmp_path / "b")
+    truth = bundle / "truth_support.csv"
+    assert truth.read_bytes() == b"pixel_index\r\n"
+    out = cmd_reconstruct(bundle, "bp")
+    capsys.readouterr()
+    assert main(["metrics", "--image", str(out / "image.csv"), "--config",
+                 str(bundle / "config.ini"), "--truth", str(truth)]) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    assert report[3:] == capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in report[3:]] == ["entropy_bits",
+                                                           "sparsity"]
