@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .model import (ClusterGeometry, ForwardOperator, SceneGrid,
-                    backprojection_image, estimate_phase_matrix, make_operator)
+                    backprojection_image, estimate_phase_matrix)
 from .simulate import (PhaseHistory, Scatterer, SimScenario,
                        make_uniform_clusters, rasterize_scene,
                        synthesize_measurements)
@@ -15,7 +15,7 @@ __all__ = [
     "PhaseHistory", "ReconstructionResult", "Scatterer", "SceneGrid",
     "SimScenario",
     "SolverConfig", "SolverState", "backprojection_image",
-    "composite_baseline", "estimate_phase_matrix", "make_operator",
+    "composite_baseline", "estimate_phase_matrix",
     "make_uniform_clusters", "rasterize_scene", "run",
     "synthesize_measurements",
 ]

@@ -281,20 +281,19 @@ def cmd_simulate(config_path, out_dir=None, seed=None):
         f"n_pixels: {scenario.grid.n_pixels}",
         f"requested_snr_db: {scenario.snr_db}",
     ]
-    for h in histories:
-        lines.append(f"cluster_{h.cluster_id:02d}_noise_norm: {h.noise_norm:.17g}")
-        lines.append(f"cluster_{h.cluster_id:02d}_realized_snr_db: {h.snr_db}")
+    for q, h in enumerate(histories):
+        lines.append(f"cluster_{q:02d}_noise_norm: {h.noise_norm:.17g}")
+        lines.append(f"cluster_{q:02d}_realized_snr_db: {h.snr_db}")
 
     def write(tmp):
         # a truth file lists its cluster's nonzero pixels only; every pixel
         # it leaves out is 0
         truth_support = set()
-        for h in histories:
+        for q, h in enumerate(histories):
             nonzero = np.flatnonzero(h.truth)
             truth_support.update(nonzero.tolist())
-            _write_complex_csv(tmp / f"truth_q{h.cluster_id:02d}.csv",
-                               h.truth, nonzero)
-            _write_complex_csv(tmp / f"meas_q{h.cluster_id:02d}.csv", h.data,
+            _write_complex_csv(tmp / f"truth_q{q:02d}.csv", h.truth, nonzero)
+            _write_complex_csv(tmp / f"meas_q{q:02d}.csv", h.data,
                                np.arange(h.data.size))
         tables.write_table(tmp / "truth_support.csv", ["pixel_index"],
                            ([str(idx)] for idx in sorted(truth_support)))
@@ -311,7 +310,7 @@ def load_bundle(bundle_path):
         raise ConfigError(f"{bundle}: not a scenario bundle (no config.ini)")
     cfg = load_config(bundle / "config.ini")
     scenario = build_scenario(cfg)
-    operators = [model.make_operator(cfg.grid, c) for c in scenario.clusters]
+    operators = [model.ForwardOperator(cfg.grid, c) for c in scenario.clusters]
     measurements = []
     for q, op in enumerate(operators):
         path = bundle / f"meas_q{q:02d}.csv"

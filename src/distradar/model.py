@@ -73,7 +73,6 @@ class ClusterGeometry:
     azimuth_angles: np.ndarray  # radians, length M
     elevation: float  # radians
     frequencies: np.ndarray  # Hz, length W, strictly increasing
-    cluster_id: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "azimuth_angles",
@@ -105,15 +104,6 @@ class ClusterGeometry:
         return float(np.mean(self.azimuth_angles))
 
 
-def _checked_phase_matrix(phase_matrix, n):
-    phase_matrix = np.asarray(phase_matrix, dtype=complex)
-    if phase_matrix.shape != (n,):
-        raise ValueError("phase_matrix must have length N")
-    if np.any(np.abs(np.abs(phase_matrix) - 1.0) > 1e-12):
-        raise ValueError("phase_matrix entries must be unit modulus")
-    return phase_matrix
-
-
 class ForwardOperator:
     """Separable matrix representation A of the cluster's measurement kernel.
 
@@ -127,18 +117,18 @@ class ForwardOperator:
     one MW x ny x nx matrix product plus an element-wise pass.
 
     The unit-modulus phase_matrix is the diagonal of the per-pixel phase
-    matrix folded into A; it defaults to all ones. Instances are immutable
+    matrix folded into A: all ones as constructed, and set only by
+    with_phase_matrix, which returns a refolded copy. Instances are immutable
     after construction apart from the lazy solve_matrix cache, which
     solvers.run fills from its thread pool; a lock shared with the cache
     makes concurrent calls build it once. apply/adjoint allocate fresh
     outputs.
     """
 
-    def __init__(self, grid, geometry, phase_matrix=None):
+    def __init__(self, grid, geometry):
         self.grid = grid
         self.geometry = geometry
-        self.phase_matrix = (np.ones(grid.n_pixels, dtype=complex) if phase_matrix is None
-                             else _checked_phase_matrix(phase_matrix, grid.n_pixels))
+        self.phase_matrix = np.ones(grid.n_pixels, dtype=complex)
         self._ex, self._ey = self._build_factors()
         self._solve_cache = [None]  # lazy (mu, beta, M), shared across refolds
         self._solve_lock = threading.Lock()  # guards _solve_cache
@@ -157,9 +147,15 @@ class ForwardOperator:
         return self.geometry.n_freqs * self.geometry.n_apcs
 
     def with_phase_matrix(self, phase_matrix):
-        """Copy of this operator with a different folded phase matrix."""
+        """Copy of this operator with a different folded phase matrix, which
+        must hold N unit-modulus entries."""
+        phase_matrix = np.asarray(phase_matrix, dtype=complex)
+        if phase_matrix.shape != (self.grid.n_pixels,):
+            raise ValueError("phase_matrix must have length N")
+        if np.any(np.abs(np.abs(phase_matrix) - 1.0) > 1e-12):
+            raise ValueError("phase_matrix entries must be unit modulus")
         op = copy.copy(self)  # shares the factors, solve-matrix cache and lock
-        op.phase_matrix = _checked_phase_matrix(phase_matrix, self.grid.n_pixels)
+        op.phase_matrix = phase_matrix
         return op
 
     def row_gram(self):
@@ -216,11 +212,6 @@ class ForwardOperator:
         return np.conj(self.phase_matrix * x.reshape(self.grid.n_pixels))
 
 
-def make_operator(grid, geometry):
-    """Forward operator with an all-ones phase matrix."""
-    return ForwardOperator(grid, geometry)
-
-
 def estimate_phase_matrix(op, measurements):
     """Per-pixel phase estimate from the back-projection of the measurements.
 
@@ -237,12 +228,18 @@ def estimate_phase_matrix(op, measurements):
     return phase
 
 
+def check_cluster_set(operators, measurements):
+    """Raise ValueError unless there is at least one cluster and exactly
+    one measurement vector per operator."""
+    if len(operators) == 0:
+        raise ValueError("need at least one cluster")
+    if len(operators) != len(measurements):
+        raise ValueError("need exactly one measurement vector per operator")
+
+
 def backprojection_image(ops, measurements):
     """Average over clusters of the per-cluster back-projection magnitudes."""
-    if len(ops) == 0:
-        raise ValueError("need at least one operator")
-    if len(ops) != len(measurements):
-        raise ValueError("one measurement vector per operator required")
+    check_cluster_set(ops, measurements)
     acc = np.zeros(ops[0].grid.n_pixels)
     for op, y in zip(ops, measurements):
         acc += np.abs(op.adjoint(y))

@@ -7,11 +7,11 @@ realized SNR matches the requested value exactly.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClusterGeometry, SceneGrid, make_operator
+from .model import ClusterGeometry, ForwardOperator, SceneGrid
 
 TWO_PI = 2 * np.pi
 
@@ -68,7 +68,6 @@ class PhaseHistory:
     """Per-cluster complex measurement vector plus noise metadata, and the
     reflectivity raster (rasterize_scene) the measurements were made of."""
 
-    cluster_id: int
     data: np.ndarray  # complex, length W*M
     noise_norm: float
     snr_db: float
@@ -116,11 +115,11 @@ def synthesize_measurements(scenario):
     """
     out = []
     for q, cluster in enumerate(scenario.clusters):
-        op = make_operator(scenario.grid, cluster)
+        op = ForwardOperator(scenario.grid, cluster)
         truth = rasterize_scene(scenario, q)
         clean = op.apply(truth)
         if math.isinf(scenario.snr_db):
-            out.append(PhaseHistory(q, clean, 0.0, scenario.snr_db, truth))
+            out.append(PhaseHistory(clean, 0.0, scenario.snr_db, truth))
             continue
         signal_norm = np.linalg.norm(clean)
         if signal_norm == 0:
@@ -131,7 +130,7 @@ def synthesize_measurements(scenario):
                  + 1j * rng.standard_normal(clean.size)) / np.sqrt(2)
         target_norm = signal_norm / 10 ** (scenario.snr_db / 20)
         noise *= target_norm / np.linalg.norm(noise)
-        out.append(PhaseHistory(q, clean + noise, float(np.linalg.norm(noise)),
+        out.append(PhaseHistory(clean + noise, float(np.linalg.norm(noise)),
                                 scenario.snr_db, truth))
     return out
 
@@ -167,6 +166,5 @@ def make_uniform_clusters(q_count, cluster_width, apcs_per_cluster, elevation,
             azimuth_angles=center + offsets,
             elevation=elevation,
             frequencies=freqs,
-            cluster_id=q,
         ))
     return clusters

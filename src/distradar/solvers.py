@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model
+
 CADMM = "cadmm"
 SADMM = "sadmm"
 
@@ -234,10 +236,7 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
     """
     if method not in (CADMM, SADMM):
         raise ValueError(f"unknown method {method!r}")
-    if len(operators) != len(measurements):
-        raise ValueError("need exactly one measurement vector per operator")
-    if len(operators) == 0:
-        raise ValueError("need at least one cluster")
+    model.check_cluster_set(operators, measurements)
     q_count = len(operators)
     n = operators[0].grid.n_pixels
     local = np.zeros((q_count, n))
@@ -330,10 +329,7 @@ def composite_baseline(operators, measurements, lambda_c, max_iters=10_000,
     image is the element-wise maximum across clusters, taken in
     ascending q.
     """
-    if len(operators) == 0:
-        raise ValueError("need at least one cluster")
-    if len(operators) != len(measurements):
-        raise ValueError("need exactly one measurement vector per operator")
+    model.check_cluster_set(operators, measurements)
     if not 0 <= lambda_c < math.inf:  # a negative weight is unbounded below
         raise ValueError("lambda_c must be nonnegative and finite")
     if max_iters < 1:

@@ -20,9 +20,11 @@ def write_table(path, header, rows):
 
 def read_table(path, header=None):
     """The lines of a table as lists of fields, a blank line as []. Given
-    `header`, the first line must be it, and the lines after it are
-    returned. Raises ValueError, naming the file, for another first line
-    or for text that csv.reader cannot parse."""
+    `header`, the first line must be it, every other line that is not
+    blank must have its field count, and the lines after it are returned.
+    Raises ValueError, naming the file, for another first line, for a row
+    of another width (naming its line too) or for text that csv.reader
+    cannot parse."""
     with open(path, newline="") as fh:
         try:
             rows = list(csv.reader(fh))
@@ -33,4 +35,8 @@ def read_table(path, header=None):
     if rows[:1] != [header]:
         raise ValueError(f"{path}: header {rows[0] if rows else None}, "
                          f"expected {header}")
+    for lineno, row in enumerate(rows[1:], 2):
+        if row and len(row) != len(header):
+            raise ValueError(f"{path}: line {lineno} has {len(row)} fields, "
+                             f"expected {len(header)}")
     return rows[1:]

@@ -111,7 +111,7 @@ def _f1(image, truth, nx):
 def test_criterion_1_operator_vs_dense(medium_grid, medium_geometry):
     with report(1):
         t0 = time.perf_counter()
-        op = model.make_operator(medium_grid, medium_geometry)
+        op = model.ForwardOperator(medium_grid, medium_geometry)
         dense = dense_operator_matrix(medium_grid, medium_geometry)
         rng = np.random.default_rng(100)
         n, m = 256, 16
@@ -137,7 +137,7 @@ def test_criterion_2_local_solve_vs_dense(medium_grid, medium_geometry):
         t0 = time.perf_counter()
         rng = np.random.default_rng(200)
         theta = np.exp(1j * rng.uniform(0, 2 * math.pi, 256))
-        op = model.make_operator(medium_grid, medium_geometry).with_phase_matrix(theta)
+        op = model.ForwardOperator(medium_grid, medium_geometry).with_phase_matrix(theta)
         dense = dense_operator_matrix(medium_grid, medium_geometry, theta)
         for _ in range(50):
             mu = rng.uniform(0.5, 2.0)
@@ -188,7 +188,7 @@ def test_criterion_4_single_cluster_degeneration():
             for _ in range(4)]
         scenario = simulate.SimScenario(grid, clusters, scatterers, 15.0, 4)
         y = [simulate.synthesize_measurements(scenario)[0].data]
-        ops = [model.make_operator(grid, clusters[0])]
+        ops = [model.ForwardOperator(grid, clusters[0])]
         ops = cli._fold_phase_matrices(ops, y)
         iterates = {"cadmm": [], "sadmm": []}
         for method in ("cadmm", "sadmm"):
@@ -217,7 +217,7 @@ def test_criterion_5_termination_contract(iso):
             for _ in range(3)]
         scenario = simulate.SimScenario(grid, clusters, scatterers, 20.0, 5)
         ys = [h.data for h in simulate.synthesize_measurements(scenario)]
-        ops = [model.make_operator(grid, c) for c in clusters]
+        ops = [model.ForwardOperator(grid, c) for c in clusters]
         for method in ("cadmm", "sadmm"):
             cfg = solvers.SolverConfig(mu=1.0, lam=5.0, beta=5.0,
                                        eps_abs=1e-2, eps_rel=1e-2,

@@ -409,6 +409,7 @@ def test_removed_scene_and_output_keys_rejected(tmp_path, capsys, section,
     ("empty", 2),  # no header, no rows
     ("short", 2),  # a row missing: wrong length
     ("cut_row", 2),  # file cut inside its last row
+    ("extra_field", 2),  # a row of four fields
     ("swapped_rows", 2),  # samples out of index order
     ("no_header", 2),  # the rows without their header line
     ("wrong_header", 2),
@@ -439,13 +440,20 @@ def test_reconstruct_bad_measurements_leave_no_output(bundle, tmp_path, capsys,
         lines[2] = "1,x,0"
     elif corruption == "cut_row":
         lines[-1] = lines[-1].rsplit(",", 1)[0]
+    elif corruption == "extra_field":
+        lines[2] += ",0"
     path.write_text("".join(line + "\n" for line in lines))
     if corruption == "not_utf8":
         path.write_bytes(path.read_bytes() + b"\xff\n")
     out = tmp_path / "out"
     assert main(["reconstruct", "--config", str(bundle), "--method", method,
                  "--out", str(out)]) == code
-    assert "meas_q01.csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "meas_q01.csv" in err
+    if corruption == "cut_row":
+        assert f"line {len(lines)} has 2 fields" in err
+    elif corruption == "extra_field":
+        assert "line 3 has 4 fields" in err
     assert not out.exists()
 
 
@@ -916,9 +924,11 @@ def test_metrics_bad_image_csv_exits_2(tmp_path, capsys, recwarn, text,
 def test_metrics_bad_truth_file_exits_2(bundle, tmp_path, capsys):
     out = cmd_reconstruct(bundle, "bp")
     truth = tmp_path / "truth.csv"
-    # an empty file, indices without their header, then indices outside
-    # the 64-pixel image: refused, not scored as misses
-    for text in ("", "3\n5\n", "pixel_index\n999\n", "pixel_index\n-3\n"):
+    # an empty file, indices without their header, indices outside the
+    # 64-pixel image, then a row of three fields: refused, not scored as
+    # misses
+    for text in ("", "3\n5\n", "pixel_index\n999\n", "pixel_index\n-3\n",
+                 "pixel_index\n3,junk,7\n"):
         truth.write_text(text)
         capsys.readouterr()
         assert main(["metrics", "--image", str(out / "image.csv"),

@@ -6,8 +6,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 import pytest
 
-from distradar.model import (ClusterGeometry, SceneGrid, backprojection_image,
-                             estimate_phase_matrix, make_operator)
+from distradar.model import (ClusterGeometry, ForwardOperator, SceneGrid,
+                             backprojection_image, estimate_phase_matrix)
 from distradar.simulate import (Scatterer, SimScenario, make_uniform_clusters,
                                 rasterize_scene, synthesize_measurements)
 
@@ -51,7 +51,7 @@ def test_single_pixel_grid_all_outputs_equal():
     grid = SceneGrid(1, 1, 1.0, 1.0)
     geo = ClusterGeometry(np.array([0.2, 0.4, 0.9]), 0.3,
                           np.array([9.0e9, 9.5e9]))
-    op = make_operator(grid, geo)
+    op = ForwardOperator(grid, geo)
     out = op.apply(np.array([2.5 - 1j]))
     np.testing.assert_allclose(out, np.full(6, 2.5 - 1j), rtol=1e-14)
 
@@ -59,7 +59,7 @@ def test_single_pixel_grid_all_outputs_equal():
 def test_zero_azimuth_depends_only_on_x():
     grid = SceneGrid(4, 4, 1.0, 1.0)
     geo = ClusterGeometry(np.array([0.0, 0.0]), 0.3, np.array([9.0e9, 9.5e9]))
-    op = make_operator(grid, geo)
+    op = ForwardOperator(grid, geo)
     coords = grid.pixel_coords()
     for j in range(grid.n_pixels):
         for k in range(j + 1, grid.n_pixels):
@@ -72,7 +72,7 @@ def test_zero_azimuth_depends_only_on_x():
 
 
 def test_apply_adjoint_match_dense_oracle(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     dense = dense_operator_matrix(small_grid, small_geometry)
     rng = np.random.default_rng(42)
     x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
@@ -84,13 +84,13 @@ def test_apply_adjoint_match_dense_oracle(small_grid, small_geometry):
 
 
 def test_zero_inputs(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     np.testing.assert_array_equal(op.apply(np.zeros(16, complex)), np.zeros(4))
     np.testing.assert_array_equal(op.adjoint(np.zeros(4, complex)), np.zeros(16))
 
 
 def test_delta_image_reads_out_column(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     dense = dense_operator_matrix(small_grid, small_geometry)
     n0 = 7
     e = np.zeros(16, complex)
@@ -99,7 +99,7 @@ def test_delta_image_reads_out_column(small_grid, small_geometry):
 
 
 def test_adjoint_identity_random_pairs(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     rng = np.random.default_rng(3)
     for _ in range(20):
         u = rng.standard_normal(16) + 1j * rng.standard_normal(16)
@@ -114,14 +114,14 @@ def test_adjoint_identity_random_pairs(small_grid, small_geometry):
 
 
 def test_linearity(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     np.testing.assert_allclose(op.apply(2.5 * x), 2.5 * op.apply(x), rtol=1e-13)
 
 
 def test_phase_matrix_folding(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     rng = np.random.default_rng(11)
     theta = np.exp(1j * rng.uniform(0, 2 * math.pi, 16))
     folded = op.with_phase_matrix(theta)
@@ -133,15 +133,22 @@ def test_phase_matrix_folding(small_grid, small_geometry):
 
 
 def test_phase_matrix_must_be_unit_modulus(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     bad = np.ones(16, complex)
     bad[3] = 0.5
     with pytest.raises(ValueError):
         op.with_phase_matrix(bad)
 
 
+def test_phase_matrix_must_have_length_n(small_grid, small_geometry):
+    op = ForwardOperator(small_grid, small_geometry)
+    for shape in (15, 17, (4, 4)):
+        with pytest.raises(ValueError, match="length N"):
+            op.with_phase_matrix(np.ones(shape, complex))
+
+
 def test_length_mismatch_errors(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     with pytest.raises(ValueError):
         op.apply(np.zeros(5, complex))
     with pytest.raises(ValueError):
@@ -149,7 +156,7 @@ def test_length_mismatch_errors(small_grid, small_geometry):
 
 
 def test_normal_apply_matches_gram(medium_grid, medium_geometry):
-    op = make_operator(medium_grid, medium_geometry)
+    op = ForwardOperator(medium_grid, medium_geometry)
     rng = np.random.default_rng(17)
     theta = np.exp(1j * rng.uniform(0, 2 * math.pi, medium_grid.n_pixels))
     for candidate, phase in ((op, None), (op.with_phase_matrix(theta), theta)):
@@ -165,7 +172,7 @@ def test_solve_matrix_shared_across_refolds(small_grid, small_geometry):
     # A A^H does not depend on the phase matrix, so refolded copies reuse
     # the inverse of the operator they were made from until (mu, beta)
     # changes
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     folded = op.with_phase_matrix(np.exp(1j * np.full(16, 0.3)))
     first = op.solve_matrix(0.7, 2.3)
     assert folded.solve_matrix(0.7, 2.3) is first
@@ -192,7 +199,7 @@ def test_solve_matrix_built_once_under_concurrent_calls(
         return real_inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", slow_inv)
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     refolds = [op.with_phase_matrix(np.exp(1j * np.full(16, 0.1 * k)))
                for k in range(16)]
     interval = sys.getswitchinterval()
@@ -210,7 +217,7 @@ def test_solve_matrix_built_once_under_concurrent_calls(
 
 
 def test_estimate_phase_matrix_zero_measurements(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     np.testing.assert_array_equal(
         estimate_phase_matrix(op, np.zeros(4, complex)), np.ones(16, complex))
 
@@ -218,14 +225,14 @@ def test_estimate_phase_matrix_zero_measurements(small_grid, small_geometry):
 def test_estimate_phase_matrix_single_pixel_real_scene():
     grid = SceneGrid(1, 1, 1.0, 1.0)
     geo = ClusterGeometry(np.array([0.1]), 0.2, np.array([9.0e9, 9.4e9]))
-    op = make_operator(grid, geo)
+    op = ForwardOperator(grid, geo)
     y = op.apply(np.array([3.0 + 0j]))
     phase = estimate_phase_matrix(op, y)
     np.testing.assert_allclose(phase, [1.0 + 0j], atol=1e-12)
 
 
 def test_estimate_phase_matrix_matches_dense(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     dense = dense_operator_matrix(small_grid, small_geometry)
     rng = np.random.default_rng(23)
     y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -235,14 +242,14 @@ def test_estimate_phase_matrix_matches_dense(small_grid, small_geometry):
 
 
 def test_estimate_phase_matrix_rejects_folded(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     folded = op.with_phase_matrix(np.exp(1j * np.full(16, 0.3)))
     with pytest.raises(ValueError):
         estimate_phase_matrix(folded, np.zeros(4, complex))
 
 
 def test_backprojection_zero_and_average(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     zero = np.zeros(4, complex)
     np.testing.assert_array_equal(backprojection_image([op], [zero]),
                                   np.zeros(16))
@@ -264,7 +271,7 @@ def test_backprojection_peak_near_scatterer():
                   for _ in range(10)]
     scenario = SimScenario(grid, clusters, scatterers, math.inf, 2)
     histories = synthesize_measurements(scenario)
-    ops = [make_operator(grid, c) for c in clusters]
+    ops = [ForwardOperator(grid, c) for c in clusters]
     bp = backprojection_image(ops, [h.data for h in histories])
     truth = set()
     for q in range(len(clusters)):

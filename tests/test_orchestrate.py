@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distradar.model import SceneGrid, make_operator
+from distradar.model import ForwardOperator, SceneGrid
 from distradar.orchestrate import (BROADCAST, UNICAST, UPLINK,
                                    downlink_elements_per_iteration,
                                    export_trace, iteration_schedule,
@@ -22,7 +22,7 @@ def _setup(q_count=4, seed=0):
                   for _ in range(3)]
     scenario = SimScenario(grid, clusters, scatterers, 20.0, seed)
     histories = synthesize_measurements(scenario)
-    ops = [make_operator(grid, c) for c in clusters]
+    ops = [ForwardOperator(grid, c) for c in clusters]
     return ops, [h.data for h in histories]
 
 

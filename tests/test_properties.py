@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distradar.model import ClusterGeometry, SceneGrid, make_operator
+from distradar.model import ClusterGeometry, ForwardOperator, SceneGrid
 from distradar.solvers import (CADMM, SADMM, SolverConfig, composite_baseline,
                                composite_lipschitz, local_solve, run)
 
@@ -52,7 +52,7 @@ def _phase(rng, n):
 def test_apply_adjoint_match_dense(case):
     grid, geometry, rng = case
     theta = _phase(rng, grid.n_pixels)
-    op = make_operator(grid, geometry).with_phase_matrix(theta)
+    op = ForwardOperator(grid, geometry).with_phase_matrix(theta)
     dense = dense_operator_matrix(grid, geometry, theta)
     x = _complex(rng, grid.n_pixels)
     y = _complex(rng, op.n_measurements)
@@ -66,7 +66,7 @@ def test_apply_adjoint_match_dense(case):
 @given(cases())
 def test_adjointness(case):
     grid, geometry, rng = case
-    op = make_operator(grid, geometry).with_phase_matrix(_phase(rng, grid.n_pixels))
+    op = ForwardOperator(grid, geometry).with_phase_matrix(_phase(rng, grid.n_pixels))
     u = _complex(rng, grid.n_pixels)
     v = _complex(rng, op.n_measurements)
     au, ahv = op.apply(u), op.adjoint(v)
@@ -82,7 +82,7 @@ def test_solve_matrix_inverts_dense_gram(case, mu, beta):
     # beta*I + mu*K K^H
     grid, geometry, rng = case
     theta = _phase(rng, grid.n_pixels)
-    op = make_operator(grid, geometry).with_phase_matrix(theta)
+    op = ForwardOperator(grid, geometry).with_phase_matrix(theta)
     dense = dense_operator_matrix(grid, geometry, theta)
     eye = np.eye(op.n_measurements)
     system = beta * eye + mu * dense @ dense.conj().T
@@ -98,7 +98,7 @@ def test_row_gram_is_real_and_solve_matrix_symmetric(case, mu, beta):
     dense = dense_operator_matrix(grid, geometry)
     gram = dense @ dense.conj().T
     assert np.max(np.abs(gram.imag)) <= 1e-13 * np.max(np.abs(gram))
-    m = make_operator(grid, geometry).solve_matrix(mu, beta)
+    m = ForwardOperator(grid, geometry).solve_matrix(mu, beta)
     assert m.dtype == np.float64
     assert np.max(np.abs(m - m.T)) <= 1e-13 * np.max(np.abs(m))
 
@@ -108,7 +108,7 @@ def test_row_gram_is_real_and_solve_matrix_symmetric(case, mu, beta):
 def test_local_solve_matches_dense(case, mu, beta):
     grid, geometry, rng = case
     theta = _phase(rng, grid.n_pixels)
-    op = make_operator(grid, geometry).with_phase_matrix(theta)
+    op = ForwardOperator(grid, geometry).with_phase_matrix(theta)
     dense = dense_operator_matrix(grid, geometry, theta)
     rhs = _complex(rng, grid.n_pixels)
     ref = np.linalg.solve(mu * dense.conj().T @ dense
@@ -124,7 +124,7 @@ def test_single_cluster_methods_agree(case, mu, lam, beta, iters):
     # with one cluster the consensus and sharing constraints coincide, so
     # both forms run the same iterates up to rounding in the global update
     grid, geometry, rng = case
-    op = make_operator(grid, geometry).with_phase_matrix(_phase(rng, grid.n_pixels))
+    op = ForwardOperator(grid, geometry).with_phase_matrix(_phase(rng, grid.n_pixels))
     scene = rng.uniform(0.0, 1.0, grid.n_pixels) * (rng.uniform(size=grid.n_pixels) < 0.3)
     y = op.apply(scene.astype(complex)) + 0.01 * _complex(rng, op.n_measurements)
     cfg = SolverConfig(mu=mu, lam=lam, beta=beta, eps_abs=1e-300,
@@ -145,7 +145,7 @@ def test_composite_lipschitz_is_exact_norm_bound(case):
     # ||y - A x||^2 over real x
     grid, geometry, rng = case
     theta = _phase(rng, grid.n_pixels)
-    op = make_operator(grid, geometry).with_phase_matrix(theta)
+    op = ForwardOperator(grid, geometry).with_phase_matrix(theta)
     dense = dense_operator_matrix(grid, geometry, theta)
     got = composite_lipschitz(op)
     exact = 2.0 * np.linalg.norm(dense, 2) ** 2
@@ -160,8 +160,8 @@ def composite_cases(draw):
     """(grid, Q >= 2 geometries, rng): clusters at distinct azimuths."""
     grid, geometry, rng = draw(cases())
     extra = [ClusterGeometry(geometry.azimuth_angles + draw(st.floats(0.3, 3.0)),
-                             geometry.elevation, geometry.frequencies, q)
-             for q in range(1, draw(st.integers(2, 3)))]
+                             geometry.elevation, geometry.frequencies)
+             for _ in range(1, draw(st.integers(2, 3)))]
     return grid, [geometry] + extra, rng
 
 
@@ -181,7 +181,7 @@ def test_composite_images_satisfy_lasso_kkt(case, lam_frac):
     ops, denses, ys = [], [], []
     for geometry in geometries:
         theta = _phase(rng, grid.n_pixels)
-        ops.append(make_operator(grid, geometry).with_phase_matrix(theta))
+        ops.append(ForwardOperator(grid, geometry).with_phase_matrix(theta))
         denses.append(dense_operator_matrix(grid, geometry, theta))
         scene = (rng.uniform(0.5, 1.5, grid.n_pixels)
                  * (rng.uniform(size=grid.n_pixels) < 0.3))

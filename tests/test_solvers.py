@@ -5,7 +5,8 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from distradar.model import SceneGrid, make_operator
+from distradar.model import ForwardOperator, SceneGrid, backprojection_image
+from distradar.orchestrate import run_message_passing
 from distradar.simulate import (Scatterer, SimScenario, make_uniform_clusters,
                                 rasterize_scene, synthesize_measurements)
 from distradar.solvers import (CADMM, SADMM, NumericalError, SolverConfig,
@@ -26,7 +27,7 @@ def _cluster_setup(seed=0, q_count=4, snr_db=math.inf):
                   for _ in range(3)]
     scenario = SimScenario(grid, clusters, scatterers, snr_db, seed)
     histories = synthesize_measurements(scenario)
-    ops = [make_operator(grid, c) for c in clusters]
+    ops = [ForwardOperator(grid, c) for c in clusters]
     return scenario, ops, [h.data for h in histories]
 
 
@@ -43,7 +44,7 @@ def test_config_validation():
 
 
 def test_local_solve_matches_dense_solve(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     dense = dense_operator_matrix(small_grid, small_geometry)
     mu, beta = 0.7, 2.3
     system = mu * dense.conj().T @ dense + beta * np.eye(16)
@@ -56,7 +57,7 @@ def test_local_solve_matches_dense_solve(small_grid, small_geometry):
 
 
 def test_local_solve_zero_rhs_and_nonfinite(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     np.testing.assert_array_equal(
         local_solve(op, 1.0, 1.0, np.zeros(16, complex)), np.zeros(16))
     bad = np.zeros(16, complex)
@@ -116,7 +117,7 @@ def test_global_update_sadmm_matches_closed_form():
 
 
 def test_local_update_cadmm_matches_dense(small_grid, small_geometry):
-    op = make_operator(small_grid, small_geometry)
+    op = ForwardOperator(small_grid, small_geometry)
     dense = dense_operator_matrix(small_grid, small_geometry)
     rng = np.random.default_rng(33)
     y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -140,7 +141,7 @@ def test_run_steps_match_dense_oracles(method):
     q, n = len(clusters), grid.n_pixels
     rng = np.random.default_rng(66)
     phases = [np.exp(1j * rng.uniform(-math.pi, math.pi, n)) for _ in clusters]
-    ops = [make_operator(grid, c).with_phase_matrix(p)
+    ops = [ForwardOperator(grid, c).with_phase_matrix(p)
            for c, p in zip(clusters, phases)]
     denses = [dense_operator_matrix(grid, c, p)
               for c, p in zip(clusters, phases)]
@@ -332,54 +333,48 @@ def _lasso_cases(draw):
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-def test_cadmm_reaches_lasso_optimum():
+# shrinking is off: each failing draw re-runs a solve of up to 10,000
+# iterations, and shrinking them took over two minutes
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          phases=(Phase.generate,))
+@given(_lasso_cases())
+def test_cadmm_reaches_lasso_optimum(case):
     # for consensus the stated objective is one nonnegative lasso,
     # F(z) = sum_q (mu/2)*||y_q - A_q z||^2 + lam*||z||_1 over z >= 0, so
     # at tight tolerances run must return its minimiser: F(x_G) is F* (from
     # a long FISTA run on the dense matrices, B = [Re A_q; Im A_q]
     # stacked), and the KKT conditions hold at x_G, measured by the
     # prox-gradient mapping x - max(x - (grad f(x) + lam)/L, 0) against its
-    # value at zero. Draws whose optimum is zero are skipped, and shrinking
-    # is off, since each failing draw re-runs the solve. The property runs
-    # inside a plain test because, for a failing @given test, the
-    # hypothesis pytest plugin imports libcst, whose import warns, and
-    # warnings are errors here.
-    @settings(max_examples=10, deadline=None, derandomize=True,
-              database=None, phases=(Phase.generate,))
-    @given(_lasso_cases())
-    def reaches_optimum(case):
-        grid, clusters, ys, lam_frac = case
-        b = _stacked_real([dense_operator_matrix(grid, c) for c in clusters])
-        by = _stacked_real(ys)
-        mu = 1.0
-        lam = lam_frac * np.max(mu * (b.T @ by))
-        lipschitz = mu * np.linalg.norm(b, 2) ** 2
+    # value at zero. Draws whose optimum is zero are skipped.
+    grid, clusters, ys, lam_frac = case
+    b = _stacked_real([dense_operator_matrix(grid, c) for c in clusters])
+    by = _stacked_real(ys)
+    mu = 1.0
+    lam = lam_frac * np.max(mu * (b.T @ by))
+    lipschitz = mu * np.linalg.norm(b, 2) ** 2
 
-        def grad(z):
-            return mu * (b.T @ (b @ z - by))
+    def grad(z):
+        return mu * (b.T @ (b @ z - by))
 
-        def objective(z):
-            return ((mu / 2) * np.sum((by - b @ z) ** 2)
-                    + lam * np.sum(np.abs(z)))
+    def objective(z):
+        return ((mu / 2) * np.sum((by - b @ z) ** 2)
+                + lam * np.sum(np.abs(z)))
 
-        def mapping(z):
-            return np.linalg.norm(
-                z - np.maximum(z - (grad(z) + lam) / lipschitz, 0.0))
+    def mapping(z):
+        return np.linalg.norm(
+            z - np.maximum(z - (grad(z) + lam) / lipschitz, 0.0))
 
-        z_star, _, _ = accelerated_prox_gradient(grad, lipschitz, lam,
-                                                 grid.n_pixels, 5000, 0.0)
-        assume(np.any(z_star > 0))
-        cfg = SolverConfig(mu=mu, lam=lam, beta=2.0, eps_abs=1e-10,
-                           eps_rel=1e-10, max_outer_iters=10_000)
-        result = run(CADMM, [make_operator(grid, c) for c in clusters], ys,
-                     cfg)
-        assert result.termination == "converged"
-        x_g = result.state.global_image
-        got, best = objective(x_g), objective(z_star)
-        assert got <= best * (1 + 1e-6), f"F = {got}, F* = {best}"
-        assert mapping(x_g) <= 1e-6 * mapping(np.zeros(grid.n_pixels))
-
-    reaches_optimum()
+    z_star, _, _ = accelerated_prox_gradient(grad, lipschitz, lam,
+                                             grid.n_pixels, 5000, 0.0)
+    assume(np.any(z_star > 0))
+    cfg = SolverConfig(mu=mu, lam=lam, beta=2.0, eps_abs=1e-10,
+                       eps_rel=1e-10, max_outer_iters=10_000)
+    result = run(CADMM, [ForwardOperator(grid, c) for c in clusters], ys, cfg)
+    assert result.termination == "converged"
+    x_g = result.state.global_image
+    got, best = objective(x_g), objective(z_star)
+    assert got <= best * (1 + 1e-6), f"F = {got}, F* = {best}"
+    assert mapping(x_g) <= 1e-6 * mapping(np.zeros(grid.n_pixels))
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
@@ -403,7 +398,7 @@ def test_sadmm_reaches_decoupled_lasso_optimum():
                 lambda z: mu * (b.T @ (b @ z - by)),
                 mu * np.linalg.norm(b, 2) ** 2, lam, grid.n_pixels, 5000,
                 0.0)[0]
-        result = run(SADMM, [make_operator(grid, c) for c in clusters], ys, cfg)
+        result = run(SADMM, [ForwardOperator(grid, c) for c in clusters], ys, cfg)
         assert result.termination == "converged"
         distance = np.linalg.norm(result.state.global_image - oracle)
         assert distance <= 1e-6 * np.linalg.norm(oracle), (
@@ -448,6 +443,26 @@ def test_run_input_validation():
         run(CADMM, [], [], cfg)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda ops, ys: run(CADMM, ops, ys, SolverConfig(max_outer_iters=1)),
+    lambda ops, ys: run_message_passing(SADMM, ops, ys,
+                                        SolverConfig(max_outer_iters=1)),
+    lambda ops, ys: composite_baseline(ops, ys, 1.0),
+    backprojection_image,
+], ids=["run", "run_message_passing", "composite_baseline",
+        "backprojection_image"])
+@pytest.mark.parametrize("n_ops, n_ys, message", [
+    (0, 0, "need at least one cluster"),
+    (2, 1, "need exactly one measurement vector per operator"),
+], ids=["empty", "one_short"])
+def test_every_entry_point_checks_the_cluster_set_alike(entry, n_ops, n_ys,
+                                                        message):
+    _, ops, ys = _cluster_setup(seed=1, q_count=2)
+    with pytest.raises(ValueError) as exc:
+        entry(ops[:n_ops], ys[:n_ys])
+    assert str(exc.value) == message
+
+
 def test_run_nonfinite_measurements_raise_numerical_error():
     _, ops, ys = _cluster_setup(seed=1)
     ys = [y.copy() for y in ys]
@@ -462,7 +477,7 @@ def test_composite_baseline_recovers_consistent_system(small_grid):
     from distradar.model import ClusterGeometry
     geo = ClusterGeometry(np.linspace(0.0, 0.4, 5), math.radians(30.0),
                           np.linspace(9.0e9, 10.0e9, 5))
-    op = make_operator(small_grid, geo)
+    op = ForwardOperator(small_grid, geo)
     dense = dense_operator_matrix(small_grid, geo)
     assert np.linalg.matrix_rank(dense) == 16
     x_true = np.zeros(16)

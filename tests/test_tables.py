@@ -45,6 +45,19 @@ def test_read_table_refuses_another_first_line(tmp_path, text):
         read_table(path, ["a", "b"])
 
 
+@pytest.mark.parametrize("text, width", [("a,b\n1,x\n2\n", 1),
+                                         ("a,b\n1,x\n\n2,y,z\n", 3)],
+                         ids=["short", "long"])
+def test_read_table_refuses_a_row_of_another_width(tmp_path, text, width):
+    # the row's line is named, blank lines counted
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    line = text.count("\n")
+    with pytest.raises(ValueError, match=f"bad.csv: line {line} has {width} "
+                                         "fields, expected 2"):
+        read_table(path, ["a", "b"])
+
+
 @pytest.mark.parametrize("data", [b"a,b\n1,\xff\n",
                                   b"a,b\n1," + b"9" * 200_000 + b"\n"],
                          ids=["not_utf8", "field_too_large"])
