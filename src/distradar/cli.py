@@ -37,12 +37,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_snr(text):
-    if text.strip().lower() in ("inf", "+inf", "none", "noiseless"):
-        return math.inf
-    return float(text)
-
-
 def _parse_bool(text):
     value = text.strip().lower()
     if value not in ("true", "false"):
@@ -66,6 +60,12 @@ def _parse_scatterer_lines(text):
 
 def _keyword_default(fn, name):
     return inspect.signature(fn).parameters[name].default
+
+
+def _checked(parse, check):
+    """A parser that parses with `parse`, then returns what `check` (which
+    raises ValueError for a value out of range) returns."""
+    return lambda text: check(parse(text))
 
 
 _REQUIRED = object()  # the default of a key that must be set
@@ -93,17 +93,26 @@ _KEYS = {
         "freq_center_hz": (float, _REQUIRED),
         "bandwidth_hz": (float, _REQUIRED), "freq_count": (int, _REQUIRED),
         "elevation_deg": (float, 30.0),
-        "snr_db": (_parse_snr, _SCENARIO_DEFAULTS["snr_db"])},
+        "snr_db": (float, _SCENARIO_DEFAULTS["snr_db"])},
     "solver": {("lambda" if f.name == "lam" else f.name): (f.type, f.default)
                for f in fields(solvers.SolverConfig)},
+    # each value is checked as it is read, by the rule of the metrics code
+    # it feeds (EntropyConfig checks its own fields), so a bad one fails
+    # before any simulation or solve; every result bundle holds an
+    # image.pgm, so gray_levels keeps PGM's bound too
     "metrics": {
         **{f.name: (f.type, f.default) for f in _ENTROPY},
-        "sparsity_threshold": (float, _keyword_default(
-            metrics.normalized_sparsity, "rel_threshold")),
-        "f1_threshold": (float, _keyword_default(metrics.support_f1,
-                                                 "rel_threshold")),
-        "match_radius_px": (int, _keyword_default(metrics.support_f1,
-                                                  "match_radius_px"))},
+        "gray_levels": (_checked(int, metrics.check_pgm_gray_levels),
+                        metrics.EntropyConfig.gray_levels),
+        "sparsity_threshold": (
+            _checked(float, metrics.check_rel_threshold),
+            _keyword_default(metrics.normalized_sparsity, "rel_threshold")),
+        "f1_threshold": (
+            _checked(float, metrics.check_rel_threshold),
+            _keyword_default(metrics.support_f1, "rel_threshold")),
+        "match_radius_px": (
+            _checked(int, metrics.check_match_radius),
+            _keyword_default(metrics.support_f1, "match_radius_px"))},
     "output": {"directory": (str, "out")},
 }
 # the [scene] keys of a random scene, which an explicit scatterer list leaves
@@ -283,7 +292,7 @@ def cmd_simulate(config_path, out_dir=None, seed=None):
     ]
     for q, h in enumerate(histories):
         lines.append(f"cluster_{q:02d}_noise_norm: {h.noise_norm:.17g}")
-        lines.append(f"cluster_{q:02d}_realized_snr_db: {h.snr_db}")
+        lines.append(f"cluster_{q:02d}_realized_snr_db: {scenario.snr_db}")
 
     def write(tmp):
         # a truth file lists its cluster's nonzero pixels only; every pixel
@@ -334,7 +343,7 @@ def _read_truth_support(path, n_pixels):
     each checked to lie in [0, n_pixels)."""
     rows = tables.read_table(path, ["pixel_index"])
     try:
-        indices = [int(row[0]) for row in rows if row]
+        indices = [int(row[0]) for row in rows]
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed row: {exc}") from exc
     for index in indices:

@@ -1,5 +1,6 @@
 """Image-quality and recovery metrics plus image export helpers."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,16 +14,39 @@ class EntropyConfig:
     gray_levels: int = 256
 
     def __post_init__(self):
-        if self.dynamic_range_db <= 0:
-            raise ValueError("dynamic_range_db must be positive")
+        if not 0 < self.dynamic_range_db < math.inf:
+            raise ValueError("dynamic_range_db must be positive and finite")
         if self.gray_levels < 2:
             raise ValueError("gray_levels must be >= 2")
 
 
+def check_rel_threshold(rel_threshold):
+    """rel_threshold, a fraction of the image peak, if it lies in [0, 1)."""
+    if not 0 <= rel_threshold < 1:
+        raise ValueError(f"rel_threshold must lie in [0, 1), got "
+                         f"{rel_threshold}")
+    return rel_threshold
+
+
+def check_match_radius(match_radius_px):
+    """match_radius_px, a Chebyshev distance in pixels, if it is >= 0."""
+    if match_radius_px < 0:
+        raise ValueError(f"match_radius_px must be >= 0, got "
+                         f"{match_radius_px}")
+    return match_radius_px
+
+
+def check_pgm_gray_levels(gray_levels):
+    """gray_levels if a PGM image (8-bit) can hold that many."""
+    if gray_levels > 256:
+        raise ValueError(f"PGM export supports at most 256 gray levels, got "
+                         f"{gray_levels}")
+    return gray_levels
+
+
 def normalized_sparsity(image, rel_threshold=1e-3):
     """Fraction of pixels above rel_threshold times the image peak."""
-    if not (0 <= rel_threshold < 1):
-        raise ValueError("rel_threshold must lie in [0, 1)")
+    check_rel_threshold(rel_threshold)
     image = np.asarray(image, dtype=float)
     peak = image.max(initial=0.0)
     if peak <= 0:
@@ -79,6 +103,7 @@ def detect_peaks(image, nx, rel_threshold, radius):
     (2*radius+1)^2 Chebyshev window, and blocked candidates are skipped.
     Returns flat indices.
     """
+    check_rel_threshold(rel_threshold)
     image = np.asarray(image, dtype=float)
     peak = image.max(initial=0.0)
     if peak <= 0:
@@ -104,8 +129,7 @@ def support_f1(reconstruction, truth_support, nx, rel_threshold=0.1,
     (strongest first) one-to-one to truth pixels within the Chebyshev
     match radius. Precision is defined as 0 when there are no detections.
     """
-    if match_radius_px < 0:
-        raise ValueError("match_radius_px must be >= 0")
+    check_match_radius(match_radius_px)
     truth = sorted(set(int(i) for i in truth_support))
     if not truth:
         raise ValueError("truth support set must be non-empty")
@@ -141,8 +165,7 @@ def export_image(image, grid, path, fmt="pgm", entropy_cfg=EntropyConfig()):
         raise ValueError("image length must equal the grid pixel count")
     try:
         if fmt == "pgm":
-            if entropy_cfg.gray_levels > 256:
-                raise ValueError("PGM export supports at most 256 gray levels")
+            check_pgm_gray_levels(entropy_cfg.gray_levels)
             levels = _gray_levels(image, entropy_cfg).astype(np.uint8)
             with open(path, "wb") as fh:
                 fh.write(f"P5\n{grid.nx} {grid.ny}\n255\n".encode("ascii"))
@@ -160,21 +183,20 @@ def export_image(image, grid, path, fmt="pgm", entropy_cfg=EntropyConfig()):
 def load_image_csv(path):
     """Read an image CSV written by export_image back as a (ny, nx) array.
 
-    Raises ValueError, naming the file, when it holds no rows, rows of
-    unequal length, a value that is not a number or a non-finite value.
+    Raises ValueError, naming the file, when it holds no rows, a value
+    that is not a number or a non-finite value, or is not a table (see
+    tables.read_table).
     """
     try:
         lines = tables.read_table(path)
     except OSError as exc:
         raise OSError(f"failed reading image from {path}: {exc}") from exc
     try:
-        rows = [[float(v) for v in row] for row in lines if row]
+        rows = [[float(v) for v in row] for row in lines]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no pixel rows")
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError(f"{path}: rows of unequal length")
     image = np.array(rows)
     if not np.all(np.isfinite(image)):
         raise ValueError(f"{path}: non-finite pixel value")

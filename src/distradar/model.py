@@ -12,6 +12,7 @@ closed form.
 """
 
 import copy
+import math
 import threading
 from dataclasses import dataclass
 
@@ -61,8 +62,8 @@ class SceneGrid:
         """Flat index of the pixel whose center is nearest to (x, y)."""
         dx = self.extent_x / self.nx
         dy = self.extent_y / self.ny
-        ix = int(np.clip(np.floor((x + self.extent_x / 2) / dx), 0, self.nx - 1))
-        iy = int(np.clip(np.floor((y + self.extent_y / 2) / dy), 0, self.ny - 1))
+        ix = min(max(math.floor((x + self.extent_x / 2) / dx), 0), self.nx - 1)
+        iy = min(max(math.floor((y + self.extent_y / 2) / dy), 0), self.ny - 1)
         return iy * self.nx + ix
 
 

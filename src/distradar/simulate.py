@@ -53,7 +53,7 @@ class SimScenario:
     def __post_init__(self):
         if len(self.clusters) == 0:
             raise ValueError("scenario needs at least one cluster")
-        if math.isnan(self.snr_db):
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError("snr_db must be finite or +inf")
         hx = self.grid.extent_x / 2
         hy = self.grid.extent_y / 2
@@ -65,12 +65,11 @@ class SimScenario:
 
 @dataclass(frozen=True)
 class PhaseHistory:
-    """Per-cluster complex measurement vector plus noise metadata, and the
+    """Per-cluster complex measurement vector plus its noise norm, and the
     reflectivity raster (rasterize_scene) the measurements were made of."""
 
     data: np.ndarray  # complex, length W*M
     noise_norm: float
-    snr_db: float
     truth: np.ndarray  # complex, length n_pixels
 
 
@@ -119,7 +118,7 @@ def synthesize_measurements(scenario):
         truth = rasterize_scene(scenario, q)
         clean = op.apply(truth)
         if math.isinf(scenario.snr_db):
-            out.append(PhaseHistory(clean, 0.0, scenario.snr_db, truth))
+            out.append(PhaseHistory(clean, 0.0, truth))
             continue
         signal_norm = np.linalg.norm(clean)
         if signal_norm == 0:
@@ -131,7 +130,7 @@ def synthesize_measurements(scenario):
         target_norm = signal_norm / 10 ** (scenario.snr_db / 20)
         noise *= target_norm / np.linalg.norm(noise)
         out.append(PhaseHistory(clean + noise, float(np.linalg.norm(noise)),
-                                scenario.snr_db, truth))
+                                truth))
     return out
 
 

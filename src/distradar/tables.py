@@ -19,24 +19,27 @@ def write_table(path, header, rows):
 
 
 def read_table(path, header=None):
-    """The lines of a table as lists of fields, a blank line as []. Given
-    `header`, the first line must be it, every other line that is not
-    blank must have its field count, and the lines after it are returned.
-    Raises ValueError, naming the file, for another first line, for a row
-    of another width (naming its line too) or for text that csv.reader
-    cannot parse."""
+    """The lines of a table as lists of fields. Blank lines may end a table
+    and are dropped; every other line must have the width of the first.
+    Given `header`, the first line must be it, and the lines after it are
+    returned. Raises ValueError, naming the file, for another first line,
+    for any other blank line or a row of another width (naming its line
+    too) or for text that csv.reader cannot parse."""
     with open(path, newline="") as fh:
         try:
             rows = list(csv.reader(fh))
         except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from exc
-    if header is None:
-        return rows
-    if rows[:1] != [header]:
+    while rows and not rows[-1]:
+        rows.pop()
+    if header is not None and rows[:1] != [header]:
         raise ValueError(f"{path}: header {rows[0] if rows else None}, "
                          f"expected {header}")
-    for lineno, row in enumerate(rows[1:], 2):
-        if row and len(row) != len(header):
-            raise ValueError(f"{path}: line {lineno} has {len(row)} fields, "
-                             f"expected {len(header)}")
-    return rows[1:]
+    # the first line sets the width; a blank one sets 1, to be refused
+    width = max(len(rows[0]), 1) if rows else 0
+    for lineno, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise ValueError(f"{path}: line {lineno} " + (
+                f"has {len(row)} fields, expected {width}" if row
+                else "is blank"))
+    return rows if header is None else rows[1:]

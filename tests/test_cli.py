@@ -126,6 +126,27 @@ def test_load_config_noiseless_snr(tmp_path):
     assert math.isinf(load_config(path).sensing["snr_db"])
 
 
+@pytest.mark.parametrize("text, value", [("+inf", math.inf), ("-3.5", -3.5),
+                                         ("-inf", None), ("nan", None),
+                                         ("noiseless", None)])
+def test_snr_db_is_a_number_or_inf(config_file, tmp_path, capsys, text,
+                                   value):
+    # snr_db is read as a float; the scenario refuses nan and -inf
+    config_file.write_text(BASE_CONFIG.replace("snr_db = 20.0",
+                                               f"snr_db = {text}"))
+    out = tmp_path / "b"
+    code = main(["simulate", "--config", str(config_file), "--out", str(out)])
+    if value is None:
+        assert code == 2
+        assert "snr_db" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert code == 0
+        manifest = (out / "manifest.txt").read_text()
+        assert f"requested_snr_db: {value}\n" in manifest
+        assert f"cluster_01_realized_snr_db: {value}\n" in manifest
+
+
 def test_explicit_scatterers(tmp_path):
     text = BASE_CONFIG.replace(
         "num_scatterers = 3\namplitude = 1.0\nmargin = 0.2",
@@ -454,7 +475,40 @@ def test_reconstruct_bad_measurements_leave_no_output(bundle, tmp_path, capsys,
         assert f"line {len(lines)} has 2 fields" in err
     elif corruption == "extra_field":
         assert "line 3 has 4 fields" in err
+    elif corruption == "blank_line":
+        assert "meas_q01.csv: line 3 is blank" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["meas_q01.csv", "truth_support.csv",
+                                  "image.csv"])
+def test_blank_lines_may_only_end_a_table(bundle, tmp_path, capsys, name):
+    out = cmd_reconstruct(bundle, "bp", tmp_path / "out")
+    path = (out if name == "image.csv" else bundle) / name
+    original = path.read_bytes()
+
+    def run(data):
+        # reconstruct reads the measurements, metrics the image and truth
+        path.write_bytes(data)
+        capsys.readouterr()
+        code = 0
+        if name == "meas_q01.csv":
+            code = main(["reconstruct", "--config", str(bundle), "--method",
+                         "bp", "--out", str(out)])
+        if code == 0:
+            code = main(["metrics", "--image", str(out / "image.csv"),
+                         "--truth", str(bundle / "truth_support.csv")])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    expected = run(original)
+    assert expected[0] == 0 and "f1:" in expected[1]
+    assert run(original + b"\r\n\n\r\n") == expected
+    lines = original.splitlines(keepends=True)
+    assert len(lines) > 3
+    code, printed, err = run(b"".join(lines[:2] + [b"\r\n"] + lines[2:]))
+    assert (code, printed) == (2, "")
+    assert f"{name}: line 3 is blank" in err
 
 
 @pytest.mark.parametrize("method", ["cadmm", "sadmm", "bp", "composite"])
@@ -707,6 +761,40 @@ def test_sweep_rejects_bad_point_before_solving(bundle, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", [
+    "sparsity_threshold = 1.5", "f1_threshold = 5", "match_radius_px = -1",
+    "gray_levels = 300", "f1_threshold = nan", "sparsity_threshold = -0.1",
+    "gray_levels = 1", "dynamic_range_db = inf"])
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "sweep",
+                                     "metrics"])
+def test_bad_metrics_value_exits_2_before_any_solve(
+        config_file, bundle, tmp_path, capsys, monkeypatch, command, line):
+    # each [metrics] value is checked when its config is read, naming the
+    # key and the file, before anything is simulated or solved
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("simulated or solved before checking [metrics]")
+
+    image = cmd_reconstruct(bundle, "bp") / "image.csv"
+    monkeypatch.setattr(cli.simulate, "synthesize_measurements", no_work)
+    monkeypatch.setattr(cli.solvers, "run", no_work)
+    path = config_file if command in ("simulate", "metrics") else (
+        bundle / "config.ini")
+    path.write_text(BASE_CONFIG + f"\n[metrics]\n{line}\n")
+    out = tmp_path / "out"
+    args = {"simulate": ["--config", str(path), "--out", str(out)],
+            "reconstruct": ["--config", str(bundle), "--method", "cadmm",
+                            "--out", str(out)],
+            "sweep": ["--config", str(bundle), "--method", "cadmm", "--beta",
+                      "5", "--ratio", "5", "--out", str(out)],
+            "metrics": ["--image", str(image), "--config", str(path)]}
+    assert main([command, *args[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: " in captured.err
+    assert line.split(" = ")[0] in captured.err
+    assert not out.exists()
+
+
 _SWEEP_BUNDLE = ["best.txt", "manifest.txt", "sweep.csv", "timing.csv"]
 
 
@@ -906,7 +994,7 @@ def test_main_metrics_prints_report(bundle, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("", "no pixel rows"),
-    ("1,2,3\n4,5\n", "unequal length"),
+    ("1,2,3\n4,5\n", "line 2 has 2 fields, expected 3"),
     ("1,2\nnan,0\n", "non-finite"),
     ("1,inf\n0,1\n", "non-finite"),
     ("1,x\n0,1\n", "could not convert"),

@@ -12,10 +12,25 @@ from distradar.model import SceneGrid
 
 
 def test_entropy_config_validation():
-    with pytest.raises(ValueError):
-        EntropyConfig(dynamic_range_db=0.0)
+    for value in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dynamic_range_db"):
+            EntropyConfig(dynamic_range_db=value)
     with pytest.raises(ValueError):
         EntropyConfig(gray_levels=1)
+
+
+@pytest.mark.parametrize("rel_threshold", [-0.1, 1.0, 5.0, math.nan])
+def test_every_scorer_refuses_a_relative_threshold_outside_0_1(rel_threshold):
+    # normalized_sparsity, detect_peaks and support_f1 share one rule
+    img = np.zeros(16)
+    img[5] = 1.0
+    match = "rel_threshold must lie in"
+    with pytest.raises(ValueError, match=match):
+        normalized_sparsity(img, rel_threshold)
+    with pytest.raises(ValueError, match=match):
+        detect_peaks(img, 4, rel_threshold, 1)
+    with pytest.raises(ValueError, match=match):
+        support_f1(img, [5], 4, rel_threshold)
 
 
 def test_normalized_sparsity_basic():

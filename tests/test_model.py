@@ -26,6 +26,46 @@ def test_grid_coords_symmetric():
     assert coords[1, 0] > coords[0, 0]
 
 
+def _numpy_nearest_pixel(grid, x, y):
+    # the numpy-scalar expression that nearest_pixel replaced
+    dx = grid.extent_x / grid.nx
+    dy = grid.extent_y / grid.ny
+    ix = int(np.clip(np.floor((x + grid.extent_x / 2) / dx), 0, grid.nx - 1))
+    iy = int(np.clip(np.floor((y + grid.extent_y / 2) / dy), 0, grid.ny - 1))
+    return iy * grid.nx + ix
+
+
+def _probe_points(extent, n):
+    # every pixel edge and centre, one float step either side of each, the
+    # grid's ends and points beyond them
+    d = extent / n
+    marks = [-extent / 2 + d * k for k in range(n + 1)]
+    marks += [-extent / 2 + d * (k + 0.5) for k in range(n)]
+    marks += [-extent / 2, extent / 2, -extent, extent, 0.0]
+    return [v for m in marks
+            for v in (m, np.nextafter(m, -np.inf), np.nextafter(m, np.inf))]
+
+
+@pytest.mark.parametrize("grid", [SceneGrid(64, 64, 40.0, 40.0),
+                                  SceneGrid(5, 3, 2.0, 0.7),
+                                  SceneGrid(1, 1, 1.0, 1.0)],
+                         ids=["64x64", "5x3", "1x1"])
+def test_nearest_pixel_matches_numpy_expression(grid):
+    xs = _probe_points(grid.extent_x, grid.nx)
+    ys = _probe_points(grid.extent_y, grid.ny)
+    hx, hy = grid.extent_x / 2, grid.extent_y / 2
+    # each axis over every probe, against the other axis at both ends (the
+    # grid corners among them) and the centre
+    pairs = ([(x, y) for x in xs for y in (-hy, 0.0, hy)]
+             + [(x, y) for x in (-hx, 0.0, hx) for y in ys])
+    for x, y in pairs:
+        index = grid.nearest_pixel(x, y)
+        assert type(index) is int
+        assert index == _numpy_nearest_pixel(grid, x, y)
+    assert grid.nearest_pixel(-hx, -hy) == 0
+    assert grid.nearest_pixel(hx, hy) == grid.n_pixels - 1
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         SceneGrid(0, 4, 1.0, 1.0)

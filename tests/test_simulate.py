@@ -96,6 +96,12 @@ def test_snr_is_exact_per_realization():
             assert h.noise_norm == pytest.approx(np.linalg.norm(noise), rel=1e-12)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_scenario_refuses_snr_that_is_neither_finite_nor_inf(snr_db):
+    with pytest.raises(ValueError, match="snr_db must be finite or"):
+        _scenario(snr_db=snr_db)
+
+
 def test_zero_scene_with_finite_snr_raises():
     scn = _scenario(snr_db=10.0, scatterers=[])
     with pytest.raises(ValueError, match="scene energy is zero"):

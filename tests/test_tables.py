@@ -30,10 +30,14 @@ def test_read_table_round_trip(tmp_path):
     write_table(path, ["a", "b"], [["1", "x"], ["2", "y"]])
     assert read_table(path, ["a", "b"]) == [["1", "x"], ["2", "y"]]
     assert read_table(path) == [["a", "b"], ["1", "x"], ["2", "y"]]
-    # a blank line reads as [], for the caller to refuse or skip, and a
-    # line may end in \n alone
-    path.write_text("a,b\n1,x\n\n2,y\n")
-    assert read_table(path, ["a", "b"]) == [["1", "x"], [], ["2", "y"]]
+    # blank lines that end a table are dropped, and a line may end in \n
+    # alone
+    path.write_text("a,b\n1,x\n2,y\n\n\r\n")
+    assert read_table(path, ["a", "b"]) == [["1", "x"], ["2", "y"]]
+    path.write_text("1,x\n2,y\n\n")
+    assert read_table(path) == [["1", "x"], ["2", "y"]]
+    path.write_text("\n\n")
+    assert read_table(path) == []
 
 
 @pytest.mark.parametrize("text", ["", "b,a\n1,2\n", "a\n", "\na,b\n1,2\n"],
@@ -45,17 +49,35 @@ def test_read_table_refuses_another_first_line(tmp_path, text):
         read_table(path, ["a", "b"])
 
 
-@pytest.mark.parametrize("text, width", [("a,b\n1,x\n2\n", 1),
-                                         ("a,b\n1,x\n\n2,y,z\n", 3)],
-                         ids=["short", "long"])
-def test_read_table_refuses_a_row_of_another_width(tmp_path, text, width):
-    # the row's line is named, blank lines counted
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n1,x\n2\n", "line 3 has 1 fields, expected 2"),
+    # the interior blank line comes first
+    ("a,b\n1,x\n\n2,y,z\n", "line 3 is blank"),
+], ids=["short", "long"])
+def test_read_table_refuses_a_row_of_another_width(tmp_path, text, message):
+    # the row's line is named
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    line = text.count("\n")
-    with pytest.raises(ValueError, match=f"bad.csv: line {line} has {width} "
-                                         "fields, expected 2"):
+    with pytest.raises(ValueError, match=f"bad.csv: {message}"):
         read_table(path, ["a", "b"])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2,3\n4,5,6\n7,8\n", "line 3 has 2 fields, expected 3"),
+    ("1,2\n3,4,5\n\n", "line 2 has 3 fields, expected 2"),
+    ("1,2\n\n3,4\n", "line 2 is blank"),
+    ("\n1,2\n3,4\n", "line 1 is blank"),
+    ("a,b\n\n\n1,2\n", "line 2 is blank"),
+], ids=["ragged", "ragged_before_trailing_blank", "interior_blank",
+        "leading_blank", "blank_run"])
+def test_read_table_one_width_rule_for_headerless_tables(tmp_path, text,
+                                                         message):
+    # every row has the width of the first line, header or not; only blank
+    # lines that end the table are dropped
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.csv: {message}$"):
+        read_table(path)
 
 
 @pytest.mark.parametrize("data", [b"a,b\n1,\xff\n",
