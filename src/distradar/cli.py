@@ -155,7 +155,8 @@ class MetricsConfig:
 @dataclass
 class ExperimentConfig(MetricsConfig):
     """A parsed config: its [metrics] values plus the other sections; scene
-    and sensing hold their sections' values as the config names them."""
+    and sensing hold their sections' values as the config names them, and
+    path the file it was read from."""
     grid: model.SceneGrid
     seed: int
     scene: dict
@@ -163,6 +164,7 @@ class ExperimentConfig(MetricsConfig):
     solver: solvers.SolverConfig
     out_dir: str
     raw_text: str
+    path: Path
 
 
 def load_config(path):
@@ -205,13 +207,22 @@ def load_config(path):
             sensing=_read_section(parser, "sensing"),
             solver=solvers.SolverConfig(lam=solver.pop("lambda"), **solver),
             out_dir=_read_section(parser, "output")["directory"],
-            raw_text=raw_text)
+            raw_text=raw_text, path=path)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def build_scenario(cfg):
-    """Materialize the SimScenario described by a parsed config."""
+    """Materialize the SimScenario described by a parsed config. A scene
+    that cannot exist (a NaN or -inf snr_db, a scatterer outside the grid,
+    overlapping clusters) raises ConfigError naming the config file."""
+    try:
+        return _scenario(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.path}: {exc}") from exc
+
+
+def _scenario(cfg):
     sensing, scene = cfg.sensing, cfg.scene
     clusters = simulate.make_uniform_clusters(
         sensing["q_count"], sensing["cluster_width_deg"] * DEG,
@@ -249,10 +260,8 @@ def _read_complex_csv(path):
     """The samples of a dense `index,real,imag` file, whose row i must be
     sample i."""
     rows = tables.read_table(path, ["index", "real", "imag"])
-    try:
-        values = [complex(float(r), float(im)) for _, r, im in rows]
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed row: {exc}") from exc
+    values = tables.parse_rows(path, rows, lambda rows: [
+        complex(float(r), float(im)) for _, r, im in rows], 2)
     misplaced = next((k for k, row in enumerate(rows) if row[0] != str(k)),
                      None)
     if misplaced is not None:
@@ -342,10 +351,8 @@ def _read_truth_support(path, n_pixels):
     """Pixel indices of a truth_support.csv, as cmd_simulate writes it,
     each checked to lie in [0, n_pixels)."""
     rows = tables.read_table(path, ["pixel_index"])
-    try:
-        indices = [int(row[0]) for row in rows]
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed row: {exc}") from exc
+    indices = tables.parse_rows(
+        path, rows, lambda rows: [int(row[0]) for row in rows], 2)
     for index in indices:
         if not 0 <= index < n_pixels:
             raise ConfigError(f"{path}: pixel index {index} outside "

@@ -184,17 +184,15 @@ def load_image_csv(path):
     """Read an image CSV written by export_image back as a (ny, nx) array.
 
     Raises ValueError, naming the file, when it holds no rows, a value
-    that is not a number or a non-finite value, or is not a table (see
-    tables.read_table).
+    that is not a number (naming its line too) or a non-finite value, or
+    is not a table (see tables.read_table).
     """
     try:
         lines = tables.read_table(path)
     except OSError as exc:
         raise OSError(f"failed reading image from {path}: {exc}") from exc
-    try:
-        rows = [[float(v) for v in row] for row in lines]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    rows = tables.parse_rows(
+        path, lines, lambda rows: [[float(v) for v in row] for row in rows], 1)
     if not rows:
         raise ValueError(f"{path}: no pixel rows")
     image = np.array(rows)

@@ -10,7 +10,8 @@ constraint: consensus ties every local image to the global one
 loop, run, serves both forms. Local updates are exact solves through the
 matrix-inversion lemma on each cluster's cached real inverse of
 beta*I + mu*A_q A_q^H; global updates are exact one-sided soft-thresholds.
-FISTA is kept only for the per-cluster composite baseline.
+solve_lasso, restarted FISTA on the nonnegative lasso of any cluster set,
+serves the per-cluster composite baseline.
 
 Per-cluster work (the solve-matrix build, the local update with its
 data-fit term, a composite FISTA problem) runs on one thread pool when
@@ -151,10 +152,10 @@ def local_update(op, mu_ahy, target, sigma_q, cfg):
 
 
 def _sum_ascending(rows):
-    # sum of a 2-D array's rows, first to last: a fixed reduction order
-    # for bit reproducibility
-    acc = np.zeros_like(rows[0])
-    for row in rows:
+    # sum of the rows of a 2-D array or of a list of arrays, first to last:
+    # a fixed reduction order for bit reproducibility
+    acc = rows[0]
+    for row in rows[1:]:
         acc = acc + row
     return acc
 
@@ -298,6 +299,32 @@ def run(method, operators, measurements, cfg, threads=1, on_iteration=None):
     return ReconstructionResult(state, termination, objective_history)
 
 
+def lasso_lipschitz(operators, mu):
+    """mu*sum_q lambda_max(A_q A_q^H) from each cluster's real row Gram, a
+    bound on the Lipschitz constant of solve_lasso's gradient, exact
+    (mu*||A||_2^2) for one cluster. Each Gram is built per call and
+    dropped: a cached Gram per cluster would stay resident for the run."""
+    return mu * sum(np.linalg.eigvalsh(op.row_gram())[-1] for op in operators)
+
+
+def solve_lasso(operators, measurements, mu, lam, max_iters, tol):
+    """min sum_q (mu/2)*||y_q - A_q x||^2 + lam*||x||_1 over real x >= 0, by
+    accelerated_prox_gradient with step 1/lasso_lipschitz(operators, mu);
+    returns its (x, iterations, relative residual). The gradient
+    mu*Re sum_q (A_q^H A_q x - A_q^H y_q) is summed in ascending q."""
+    model.check_cluster_set(operators, measurements)
+    lipschitz = lasso_lipschitz(operators, mu)  # its Grams freed before A^H y
+    ahy = [op.adjoint(y) for op, y in zip(operators, measurements)]
+
+    def grad(x):
+        x = x.astype(complex)
+        return mu * _sum_ascending([op.normal_apply(x) - b
+                                    for op, b in zip(operators, ahy)]).real
+
+    return accelerated_prox_gradient(
+        grad, lipschitz, lam, operators[0].grid.n_pixels, max_iters, tol)
+
+
 @dataclass
 class CompositeResult:
     image: np.ndarray  # (N,), the per-cluster images fused by maximum
@@ -306,28 +333,17 @@ class CompositeResult:
     termination: str  # "converged" if every cluster met tol, else "max_iters"
 
 
-def composite_lipschitz(op):
-    """2*lambda_max(A A^H) = 2*||A||_2^2, from the real MW x MW row Gram.
-
-    It bounds the Lipschitz constant 2*lambda_max(Re(A^H A)) of the
-    gradient of ||y - A x||^2 over real x. The Gram is built per call and
-    dropped: a cached Gram per cluster would stay resident for the run.
-    """
-    return 2.0 * np.linalg.eigvalsh(op.row_gram())[-1]
-
-
 def composite_baseline(operators, measurements, lambda_c, max_iters=10_000,
                        tol=1e-7, threads=1):
     """Per-cluster sparse reconstruction fused by pixel-wise maximum.
 
     Each cluster solves min ||y_q - A_q x||^2 + lambda_c*||x||_1 over
-    nonnegative real x with restarted FISTA until its prox-gradient
+    nonnegative real x, solve_lasso at mu = 2, until its prox-gradient
     residual falls below tol times its value at zero; max_iters only
     guards the loop, and a cluster that reaches it makes the termination
-    "max_iters". The step is 1/composite_lipschitz(A_q). The problems
-    run one task per cluster on a thread pool when threads > 1; the fused
-    image is the element-wise maximum across clusters, taken in
-    ascending q.
+    "max_iters". The problems run one task per cluster on a thread pool
+    when threads > 1; the fused image is the element-wise maximum across
+    clusters, taken in ascending q.
     """
     model.check_cluster_set(operators, measurements)
     if not 0 <= lambda_c < math.inf:  # a negative weight is unbounded below
@@ -336,15 +352,8 @@ def composite_baseline(operators, measurements, lambda_c, max_iters=10_000,
         raise ValueError("max_iters must be >= 1")
 
     def solve(q):
-        op = operators[q]
-        lipschitz = composite_lipschitz(op)
-        ahy = op.adjoint(measurements[q])
-
-        def grad(x):
-            return 2.0 * (op.normal_apply(x.astype(complex)) - ahy).real
-
-        return accelerated_prox_gradient(
-            grad, lipschitz, lambda_c, op.grid.n_pixels, max_iters, tol)
+        return solve_lasso([operators[q]], [measurements[q]], 2.0, lambda_c,
+                           max_iters, tol)
 
     with _thread_pool(threads) as pool:
         images, iterations, residuals = zip(*_map_clusters(

@@ -43,3 +43,20 @@ def read_table(path, header=None):
                 f"has {len(row)} fields, expected {width}" if row
                 else "is blank"))
     return rows if header is None else rows[1:]
+
+
+def parse_rows(path, rows, parse, first_line):
+    """parse(rows), a reader's parse of all its rows at once. When that
+    raises ValueError, raises ValueError naming the file and the line of
+    the first row that parse refuses on its own (rows[0] is on line
+    first_line), and why. Only this error path parses row by row, so a
+    valid table costs nothing more per row."""
+    try:
+        return parse(rows)
+    except ValueError as exc:
+        for lineno, row in enumerate(rows, first_line):
+            try:
+                parse([row])
+            except ValueError as row_exc:
+                raise ValueError(f"{path}: line {lineno}: {row_exc}") from exc
+        raise

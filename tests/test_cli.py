@@ -147,6 +147,35 @@ def test_snr_db_is_a_number_or_inf(config_file, tmp_path, capsys, text,
         assert f"cluster_01_realized_snr_db: {value}\n" in manifest
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("snr_db = 20.0", "snr_db = -inf", "snr_db must be finite or +inf"),
+    ("num_scatterers = 3\namplitude = 1.0\nmargin = 0.2",
+     "scatterers =\n    3.0 0.0 1.0 0.0 0.0 360.0",
+     "scatterer at (3.0, 0.0) outside grid extent"),
+    ("q_count = 2", "q_count = 200",
+     "clusters overlap: q_count * cluster_width > 2*pi"),
+], ids=["snr", "scatterer_outside", "clusters_overlap"])
+def test_scene_errors_name_the_config_file(tmp_path, capsys, old, new,
+                                           message):
+    path = tmp_path / "c.ini"
+    path.write_text(BASE_CONFIG.replace(old, new))
+    out = tmp_path / "b"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {path}: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_names_an_edited_bundle_config(bundle, tmp_path, capsys):
+    config = bundle / "config.ini"
+    config.write_text(config.read_text().replace("q_count = 2",
+                                                 "q_count = 200"))
+    out = tmp_path / "out"
+    assert main(["reconstruct", "--config", str(bundle), "--method", "bp",
+                 "--out", str(out)]) == 2
+    assert f"config error: {config}: clusters overlap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_explicit_scatterers(tmp_path):
     text = BASE_CONFIG.replace(
         "num_scatterers = 3\namplitude = 1.0\nmargin = 0.2",
@@ -509,6 +538,32 @@ def test_blank_lines_may_only_end_a_table(bundle, tmp_path, capsys, name):
     code, printed, err = run(b"".join(lines[:2] + [b"\r\n"] + lines[2:]))
     assert (code, printed) == (2, "")
     assert f"{name}: line 3 is blank" in err
+
+
+@pytest.mark.parametrize("name, bad_line, message", [
+    ("meas_q01.csv", "1,x,0", "could not convert string to float: 'x'"),
+    ("truth_support.csv", "x", "invalid literal for int() with base 10: 'x'"),
+    ("image.csv", None, "could not convert string to float: 'x'"),
+])
+def test_a_value_that_is_not_a_number_names_its_line(bundle, tmp_path, capsys,
+                                                      name, bad_line,
+                                                      message):
+    # reconstruct reads the measurements, metrics the image and truth
+    out = cmd_reconstruct(bundle, "bp", tmp_path / "out")
+    path = (out if name == "image.csv" else bundle) / name
+    lines = path.read_text().splitlines()
+    assert len(lines) > 3
+    lines[2] = bad_line or ",".join(["x"] + lines[2].split(",")[1:])
+    path.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    if name == "meas_q01.csv":
+        code = main(["reconstruct", "--config", str(bundle), "--method", "bp",
+                     "--out", str(out)])
+    else:
+        code = main(["metrics", "--image", str(out / "image.csv"), "--truth",
+                     str(bundle / "truth_support.csv")])
+    assert code == 2
+    assert f"{name}: line 3: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["cadmm", "sadmm", "bp", "composite"])

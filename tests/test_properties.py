@@ -1,6 +1,6 @@
 """Property tests of the separable forward operator, the exact local solve,
-the single-cluster degeneration of the two ADMM forms and the composite
-baseline's step bound and optimality.
+the single-cluster degeneration of the two ADMM forms, and the step bound
+and optimality of the nonnegative-lasso solver and the composite baseline.
 
 Grids are drawn with nx != ny so that a transposed reshape of the factored
 operator cannot pass; every check is against the entry-by-entry dense
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from distradar.model import ClusterGeometry, ForwardOperator, SceneGrid
 from distradar.solvers import (CADMM, SADMM, SolverConfig, composite_baseline,
-                               composite_lipschitz, local_solve, run)
+                               lasso_lipschitz, local_solve, run, solve_lasso)
 
 from conftest import dense_operator_matrix
 
@@ -137,24 +137,6 @@ def test_single_cluster_methods_agree(case, mu, lam, beta, iters):
         assert np.linalg.norm(got - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
 
 
-@PROPERTY
-@given(cases())
-def test_composite_lipschitz_is_exact_norm_bound(case):
-    # 2*lambda_max of the phase-free row Gram is 2*||A||^2 of the folded
-    # dense matrix, and so bounds the curvature 2*||[Re A; Im A]||^2 of
-    # ||y - A x||^2 over real x
-    grid, geometry, rng = case
-    theta = _phase(rng, grid.n_pixels)
-    op = ForwardOperator(grid, geometry).with_phase_matrix(theta)
-    dense = dense_operator_matrix(grid, geometry, theta)
-    got = composite_lipschitz(op)
-    exact = 2.0 * np.linalg.norm(dense, 2) ** 2
-    assert abs(got - exact) <= 1e-10 * exact
-    real_curvature = 2.0 * np.linalg.norm(np.vstack([dense.real, dense.imag]),
-                                          2) ** 2
-    assert got >= real_curvature * (1 - 1e-12)
-
-
 @st.composite
 def composite_cases(draw):
     """(grid, Q >= 2 geometries, rng): clusters at distinct azimuths."""
@@ -165,19 +147,9 @@ def composite_cases(draw):
     return grid, [geometry] + extra, rng
 
 
-@PROPERTY
-@given(composite_cases(), st.floats(0.02, 0.8))
-def test_composite_images_satisfy_lasso_kkt(case, lam_frac):
-    # each cluster's image x minimises ||y - A x||^2 + lam*||x||_1 over
-    # x >= 0 (A the folded dense matrix) to within the stop rule: with
-    # g = 2*Re(A^H (A x - y)) + lam, the KKT conditions are g_i = 0 where
-    # x_i > 0 and g_i >= 0 where x_i = 0. A prox-gradient step of size 1/L
-    # from y_k to x leaves dist(0, subdifferential at x) <= 2*||G(y_k)||,
-    # and the stop makes ||G(y_k)|| < tol*||G(0)||, so the stated
-    # tolerance is 2*tol*||G(0)|| with ||G(0)|| = ||max(2*Re(A^H y) - lam, 0)||,
-    # plus 1e-10*||2*Re(A^H y)|| for rounding
-    grid, geometries, rng = case
-    tol = 1e-6
+def _folded_clusters(grid, geometries, rng):
+    """Operators with random folded phases, their dense matrices, and
+    measurements of a random nonnegative scene per cluster."""
     ops, denses, ys = [], [], []
     for geometry in geometries:
         theta = _phase(rng, grid.n_pixels)
@@ -186,6 +158,72 @@ def test_composite_images_satisfy_lasso_kkt(case, lam_frac):
         scene = (rng.uniform(0.5, 1.5, grid.n_pixels)
                  * (rng.uniform(size=grid.n_pixels) < 0.3))
         ys.append(denses[-1] @ scene + 0.05 * _complex(rng, ops[-1].n_measurements))
+    return ops, denses, ys
+
+
+@PROPERTY
+@given(composite_cases(), st.floats(0.5, 2.0))
+def test_lasso_lipschitz_is_exact_norm_bound(case, mu):
+    # for one cluster, mu*lambda_max of the phase-free row Gram is
+    # mu*||A||^2 of the folded dense matrix, and so bounds the curvature
+    # mu*||[Re A; Im A]||^2 of (mu/2)*||y - A x||^2 over real x; for Q >= 2
+    # the summed bound is at least the curvature of the stacked matrix
+    grid, geometries, rng = case
+    ops, denses, _ = _folded_clusters(grid, geometries, rng)
+    for op, dense in zip(ops, denses):
+        got = lasso_lipschitz([op], mu)
+        exact = mu * np.linalg.norm(dense, 2) ** 2
+        assert abs(got - exact) <= 1e-10 * exact
+        real_curvature = mu * np.linalg.norm(
+            np.vstack([dense.real, dense.imag]), 2) ** 2
+        assert got >= real_curvature * (1 - 1e-12)
+    stacked = np.vstack([part for a in denses for part in (a.real, a.imag)])
+    assert (lasso_lipschitz(ops, mu)
+            >= mu * np.linalg.norm(stacked, 2) ** 2 * (1 - 1e-12))
+
+
+def _assert_lasso_kkt(x, denses, ys, mu, lam, tol):
+    # x minimises sum_q (mu/2)*||y_q - A_q x||^2 + lam*||x||_1 over x >= 0
+    # (A_q the folded dense matrices) to within the stop rule: with
+    # g = mu*Re sum_q A_q^H (A_q x - y_q) + lam, the KKT conditions are
+    # g_i = 0 where x_i > 0 and g_i >= 0 where x_i = 0. A prox-gradient
+    # step of size 1/L from y_k to x leaves dist(0, subdifferential at x)
+    # <= 2*||G(y_k)||, and the stop makes ||G(y_k)|| < tol*||G(0)||, so the
+    # stated tolerance is 2*tol*||G(0)|| with
+    # ||G(0)|| = ||max(mu*Re sum_q A_q^H y_q - lam, 0)||, plus
+    # 1e-10*||mu*Re sum_q A_q^H y_q|| for rounding
+    back = mu * sum((a.conj().T @ y).real for a, y in zip(denses, ys))
+    bound = (2 * tol * np.linalg.norm(np.maximum(back - lam, 0.0))
+             + 1e-10 * np.linalg.norm(back))
+    g = mu * sum((a.conj().T @ (a @ x - y)).real
+                 for a, y in zip(denses, ys)) + lam
+    assert np.all(x >= 0)
+    assert np.all(np.abs(g[x > 0]) <= bound)
+    assert np.all(g[x == 0] >= -bound)
+
+
+@PROPERTY
+@given(composite_cases(), st.floats(0.5, 2.0), st.floats(0.02, 0.8))
+def test_solve_lasso_satisfies_kkt(case, mu, lam_frac):
+    # Q >= 2 clusters with random folded phases share one image
+    grid, geometries, rng = case
+    ops, denses, ys = _folded_clusters(grid, geometries, rng)
+    lam = lam_frac * np.max(mu * sum((a.conj().T @ y).real
+                                     for a, y in zip(denses, ys)))
+    tol = 1e-9
+    x, iterations, residual = solve_lasso(ops, ys, mu, lam, 100_000, tol)
+    assert iterations < 100_000 and residual < tol
+    _assert_lasso_kkt(x, denses, ys, mu, lam, tol)
+
+
+@PROPERTY
+@given(composite_cases(), st.floats(0.02, 0.8))
+def test_composite_images_satisfy_lasso_kkt(case, lam_frac):
+    # each cluster's image minimises ||y - A x||^2 + lam*||x||_1 over
+    # x >= 0, the one-cluster lasso at mu = 2, to within the stop rule
+    grid, geometries, rng = case
+    tol = 1e-6
+    ops, denses, ys = _folded_clusters(grid, geometries, rng)
     lam = lam_frac * max(np.max(np.abs(2.0 * (a.conj().T @ y).real))
                          for a, y in zip(denses, ys))
     fused = composite_baseline(ops, ys, lam, tol=tol)
@@ -193,13 +231,6 @@ def test_composite_images_satisfy_lasso_kkt(case, lam_frac):
     singles = []
     for op, a, y in zip(ops, denses, ys):
         single = composite_baseline([op], [y], lam, tol=tol)
-        x = single.image
-        singles.append(x)
-        back = 2.0 * (a.conj().T @ y).real
-        bound = (2 * tol * np.linalg.norm(np.maximum(back - lam, 0.0))
-                 + 1e-10 * np.linalg.norm(back))
-        g = 2.0 * (a.conj().T @ (a @ x - y)).real + lam
-        assert np.all(x >= 0)
-        assert np.all(np.abs(g[x > 0]) <= bound)
-        assert np.all(g[x == 0] >= -bound)
+        singles.append(single.image)
+        _assert_lasso_kkt(single.image, [a], [y], 2.0, lam, tol)
     np.testing.assert_array_equal(fused.image, np.max(singles, axis=0))

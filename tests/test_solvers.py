@@ -11,9 +11,9 @@ from distradar.simulate import (Scatterer, SimScenario, make_uniform_clusters,
                                 rasterize_scene, synthesize_measurements)
 from distradar.solvers import (CADMM, SADMM, NumericalError, SolverConfig,
                                accelerated_prox_gradient, composite_baseline,
-                               composite_lipschitz, global_update_cadmm,
-                               global_update_sadmm, local_solve, local_update,
-                               residuals_and_tolerances, run)
+                               global_update_cadmm, global_update_sadmm,
+                               lasso_lipschitz, local_solve, local_update,
+                               residuals_and_tolerances, run, solve_lasso)
 
 from conftest import dense_operator_matrix
 
@@ -341,12 +341,14 @@ def _lasso_cases(draw):
 def test_cadmm_reaches_lasso_optimum(case):
     # for consensus the stated objective is one nonnegative lasso,
     # F(z) = sum_q (mu/2)*||y_q - A_q z||^2 + lam*||z||_1 over z >= 0, so
-    # at tight tolerances run must return its minimiser: F(x_G) is F* (from
-    # a long FISTA run on the dense matrices, B = [Re A_q; Im A_q]
-    # stacked), and the KKT conditions hold at x_G, measured by the
-    # prox-gradient mapping x - max(x - (grad f(x) + lam)/L, 0) against its
-    # value at zero. Draws whose optimum is zero are skipped.
+    # at tight tolerances run must return its minimiser: F(x_G) is F* (the
+    # objective at solve_lasso's answer), and, checked independently on
+    # the dense matrices (B = [Re A_q; Im A_q] stacked), the KKT
+    # conditions hold at x_G, measured by the prox-gradient mapping
+    # x - max(x - (grad f(x) + lam)/L, 0) against its value at zero. Draws
+    # whose optimum is zero are skipped.
     grid, clusters, ys, lam_frac = case
+    ops = [ForwardOperator(grid, c) for c in clusters]
     b = _stacked_real([dense_operator_matrix(grid, c) for c in clusters])
     by = _stacked_real(ys)
     mu = 1.0
@@ -364,17 +366,16 @@ def test_cadmm_reaches_lasso_optimum(case):
         return np.linalg.norm(
             z - np.maximum(z - (grad(z) + lam) / lipschitz, 0.0))
 
-    z_star, _, _ = accelerated_prox_gradient(grad, lipschitz, lam,
-                                             grid.n_pixels, 5000, 0.0)
+    z_star, _, _ = solve_lasso(ops, ys, mu, lam, 10_000, tol=1e-10)
     assume(np.any(z_star > 0))
     cfg = SolverConfig(mu=mu, lam=lam, beta=2.0, eps_abs=1e-10,
                        eps_rel=1e-10, max_outer_iters=10_000)
-    result = run(CADMM, [ForwardOperator(grid, c) for c in clusters], ys, cfg)
-    assert result.termination == "converged"
+    result = run(CADMM, ops, ys, cfg)
     x_g = result.state.global_image
     got, best = objective(x_g), objective(z_star)
     assert got <= best * (1 + 1e-6), f"F = {got}, F* = {best}"
     assert mapping(x_g) <= 1e-6 * mapping(np.zeros(grid.n_pixels))
+    assert result.termination == "converged"
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
@@ -382,23 +383,19 @@ def test_sadmm_reaches_decoupled_lasso_optimum():
     # for x_q >= 0, ||sum_q x_q||_1 = sum_q ||x_q||_1, so the sharing
     # objective sum_q (mu/2)*||y_q - A_q x_q||^2 + lam*||sum_q x_q||_1
     # splits into Q nonnegative lassos, and its exact answer is
-    # x_G = sum_q x_q*, each x_q* the cluster's own minimiser (a long dense
-    # FISTA run, as in the consensus oracle)
+    # x_G = sum_q x_q*, each x_q* the cluster's own minimiser (from
+    # solve_lasso, as in the consensus oracle)
     grid, clusters = _LASSO_GRID, _LASSO_CLUSTERS
     mu, lam = 1.0, 2.0
     cfg = SolverConfig(mu=mu, lam=lam, beta=2.0, eps_abs=1e-10, eps_rel=1e-10,
                        max_outer_iters=10_000)
-    bs = [_stacked_real([dense_operator_matrix(grid, c)]) for c in clusters]
+    ops = [ForwardOperator(grid, c) for c in clusters]
     for seed in range(4):
         ys = _lasso_measurements(seed)
         oracle = np.zeros(grid.n_pixels)
-        for b, y in zip(bs, ys):
-            by = _stacked_real([y])
-            oracle += accelerated_prox_gradient(
-                lambda z: mu * (b.T @ (b @ z - by)),
-                mu * np.linalg.norm(b, 2) ** 2, lam, grid.n_pixels, 5000,
-                0.0)[0]
-        result = run(SADMM, [ForwardOperator(grid, c) for c in clusters], ys, cfg)
+        for op, y in zip(ops, ys):
+            oracle += solve_lasso([op], [y], mu, lam, 10_000, tol=1e-10)[0]
+        result = run(SADMM, ops, ys, cfg)
         assert result.termination == "converged"
         distance = np.linalg.norm(result.state.global_image - oracle)
         assert distance <= 1e-6 * np.linalg.norm(oracle), (
@@ -407,9 +404,9 @@ def test_sadmm_reaches_decoupled_lasso_optimum():
 
 
 def test_fista_zero_tol_runs_every_iteration():
-    # the F* oracle of test_cadmm_reaches_lasso_optimum relies on tol = 0
-    # never stopping early, even where the prox-gradient mapping reaches an
-    # exact 0.0 (as it does on these problems)
+    # tol = 0 never stops early, as documented, even where the
+    # prox-gradient mapping reaches an exact 0.0 (as it does on these
+    # problems)
     b = _stacked_real([dense_operator_matrix(_LASSO_GRID, c)
                        for c in _LASSO_CLUSTERS])
     for seed in range(4):
@@ -448,8 +445,9 @@ def test_run_input_validation():
     lambda ops, ys: run_message_passing(SADMM, ops, ys,
                                         SolverConfig(max_outer_iters=1)),
     lambda ops, ys: composite_baseline(ops, ys, 1.0),
+    lambda ops, ys: solve_lasso(ops, ys, 1.0, 1.0, 10, 0.0),
     backprojection_image,
-], ids=["run", "run_message_passing", "composite_baseline",
+], ids=["run", "run_message_passing", "composite_baseline", "solve_lasso",
         "backprojection_image"])
 @pytest.mark.parametrize("n_ops, n_ys, message", [
     (0, 0, "need at least one cluster"),
@@ -510,12 +508,17 @@ def test_composite_baseline_fuses_by_maximum():
         composite_baseline(ops, ys, 1.0, max_iters=0)
 
 
-def test_composite_lipschitz_is_twice_the_squared_dense_norm():
+def test_lasso_lipschitz_is_mu_times_the_squared_dense_norm():
+    # exact for one cluster; for Q >= 2 the sum of the clusters' bounds is
+    # at least the curvature mu*||B||^2 of the stacked dense matrix
     _, ops, _ = _cluster_setup(seed=6, q_count=2)
-    for op in ops:
-        dense = dense_operator_matrix(op.grid, op.geometry)
-        exact = 2.0 * np.linalg.norm(dense, 2) ** 2
-        assert abs(composite_lipschitz(op) - exact) <= 1e-10 * exact
+    denses = [dense_operator_matrix(op.grid, op.geometry) for op in ops]
+    for mu in (2.0, 0.7):
+        for op, dense in zip(ops, denses):
+            exact = mu * np.linalg.norm(dense, 2) ** 2
+            assert abs(lasso_lipschitz([op], mu) - exact) <= 1e-10 * exact
+        stacked = mu * np.linalg.norm(_stacked_real(denses), 2) ** 2
+        assert lasso_lipschitz(ops, mu) >= stacked * (1 - 1e-12)
 
 
 def test_composite_returns_zero_when_lambda_dominates():

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from distradar.tables import read_table, write_table
+from distradar.tables import parse_rows, read_table, write_table
 
 
 def test_write_table_matches_csv_module(tmp_path):
@@ -90,3 +90,18 @@ def test_read_table_names_the_file_it_cannot_parse(tmp_path, data):
     path.write_bytes(data)
     with pytest.raises(ValueError, match="bad.csv: "):
         read_table(path, ["a", "b"])
+
+
+def test_parse_rows_names_the_line_of_a_refused_value():
+    calls = []
+
+    def parse(rows):
+        calls.append(len(rows))
+        return [float(row[1]) for row in rows]
+
+    rows = [["0", "1.5"], ["1", "2"], ["2", "x"], ["3", "y"]]
+    assert parse_rows("t.csv", rows[:2], parse, 2) == [1.5, 2.0]
+    assert calls == [2]  # a valid table is parsed once, all rows at once
+    with pytest.raises(ValueError, match=r"^t\.csv: line 4: could not "
+                       r"convert string to float: 'x'$"):
+        parse_rows("t.csv", rows, parse, 2)
